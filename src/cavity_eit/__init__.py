@@ -26,7 +26,6 @@ from .response import (
     PowerPoint,
     ProbeResponse,
     SpectrumTable,
-    WidthReport,
     c_plus,
     default_delta_grid,
     eit_width,
@@ -71,7 +70,6 @@ __all__ = [
     "SystemMatrix",
     "SystemParams",
     "Trajectory",
-    "WidthReport",
     "build_matrix",
     "c_plus",
     "default_delta_grid",

@@ -2,9 +2,10 @@
 
 Commands map one-to-one onto the library: ``steady-state``, ``spectrum``,
 ``delay-sweep``, ``width-sweep``, ``dynamics``, plus ``figure`` which
-writes the canned data bundle underlying each published figure of the
-reference configuration together with a sidecar JSON of the exact config
-used and a comparison report of computed vs previously reported scalars.
+writes the data bundle underlying each published figure of the reference
+configuration: a fixed list of runs of those commands, a sidecar JSON of
+the record each run resolved, and a comparison report of computed vs
+previously reported scalars.
 
 Floats are written in fixed 17-significant-digit scientific notation so
 CSV output round-trips doubles losslessly and is byte-stable across runs.
@@ -37,7 +38,6 @@ from .params import (
 from .steady_state import solve_steady
 from .response import (
     DegenerateDenominatorError,
-    default_delta_grid,
     eit_width,
     group_delay_analytic,
     power_sweep,
@@ -60,9 +60,14 @@ SPECTRUM_HEADER = (
 SWEEP_HEADER = "power_w,tau_t_s,tau_r_s,gamma_rad_s"
 DYNAMICS_HEADER = "t_s,re_q_plus,im_q_plus,re_c_plus,im_c_plus,q_total_m"
 
-FIGURE_IDS = tuple(f"fig{i}" for i in range(2, 11))
 
-NUMERICAL_ERRORS = (InstabilityError, StepSizeError, DegenerateDenominatorError)
+class UndefinedDelayError(ArithmeticError):
+    """The group delay at the single requested sweep point is undefined."""
+
+
+NUMERICAL_ERRORS = (
+    InstabilityError, StepSizeError, DegenerateDenominatorError, UndefinedDelayError
+)
 
 
 def _fmt(x: float) -> str:
@@ -109,18 +114,21 @@ def _param_dict(params: SystemParams, drive: DriveParams) -> dict:
 
 def _resolve_params(args) -> tuple[SystemParams, DriveParams]:
     """Config file first, then flags override individual fields."""
-    if getattr(args, "config", None):
+    if args.config:
         params, drive = load_params(args.config)
     else:
         params, drive = reference_defaults()
-    if getattr(args, "power_uw", None) is not None:
+    if args.power_uw is not None:
         drive = replace(drive, pump_power=args.power_uw * 1e-6)
     return params, drive
 
 
-def _powers_list(raw: str) -> list[float]:
+def _powers_uw(raw: str | None) -> list[float]:
+    """Pump powers in microwatts: the --powers-uw list, else 20 points over 0.1..5."""
+    if raw is None:
+        return np.linspace(0.1, 5.0, 20).tolist()
     try:
-        return [float(tok) * 1e-6 for tok in raw.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
         raise ParameterError(f"--powers-uw must be a comma-separated number list, got {raw!r}")
 
@@ -142,9 +150,13 @@ def _spectrum_rows(table, omega_m: float):
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each data command writes its output and returns the record of the values
+# it resolved (parameters, grid, powers, pulse, step); a figure bundle writes
+# that record to its sidecar, so the sidecar replays the command.
 
 
-def _cmd_steady_state(args) -> int:
+def _cmd_steady_state(args) -> dict:
     params, drive = _resolve_params(args)
     st = solve_steady(params, derive(params, drive))
     doc = {
@@ -159,7 +171,7 @@ def _cmd_steady_state(args) -> int:
         f"steady-state: photon_number={st.photon_number:.6e} "
         f"alpha={st.alpha:.6e} -> {args.out}"
     )
-    return 0
+    return {"command": args.command, "params": _param_dict(params, drive)}
 
 
 def _make_grid(args, params: SystemParams) -> np.ndarray:
@@ -176,7 +188,7 @@ def _make_grid(args, params: SystemParams) -> np.ndarray:
     )
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> dict:
     params, drive = _resolve_params(args)
     st = solve_steady(params, derive(params, drive))
     grid = _make_grid(args, params)
@@ -187,97 +199,107 @@ def _cmd_spectrum(args) -> int:
         f"spectrum: {len(table)} rows, min T={table.transmission[i_min]:.4e} at "
         f"delta/omega_m={table.delta[i_min] / params.mirror_freq:.6f} -> {args.out}"
     )
-    return 0
+    return {
+        "command": args.command,
+        "params": _param_dict(params, drive),
+        "grid": {
+            "min": args.grid_min, "max": args.grid_max, "n": args.grid_n, "unit": "mirror_freq"
+        },
+    }
 
 
-def _sweep_rows(points):
-    return [(p.power, p.tau_t, p.tau_r, p.gamma_width) for p in points]
-
-
-def _run_power_sweep(args, strict_single_point: bool) -> int:
-    params, _ = _resolve_params(args)
-    powers = (
-        _powers_list(args.powers_uw)
-        if args.powers_uw is not None
-        else list(np.linspace(0.1e-6, 5e-6, 20))
-    )
+def _run_power_sweep(args, strict_single_point: bool) -> dict:
+    params, drive = _resolve_params(args)
+    powers_uw = _powers_uw(args.powers_uw)
     delta = args.delta_over_omega_m * params.mirror_freq
-    points = power_sweep(powers, delta, params)
+    points = power_sweep([p * 1e-6 for p in powers_uw], delta, params)
     if strict_single_point and len(points) == 1:
         p = points[0]
         if math.isnan(p.tau_t) or math.isnan(p.tau_r):
-            _note(
-                "delay-sweep: group delay undefined at the single requested point "
+            raise UndefinedDelayError(
+                "group delay undefined at the single requested point "
                 f"(power={p.power:.6e} W, delta={delta:.6e} rad/s): output amplitude "
                 "magnitude below threshold"
             )
-            return 2
-    _emit(_csv(SWEEP_HEADER, _sweep_rows(points)), args.out)
+    _emit(_csv(SWEEP_HEADER, points), args.out)
     _note(
         f"{args.command}: {len(points)} rows, tau_t range "
         f"[{min(p.tau_t for p in points):.4e}, {max(p.tau_t for p in points):.4e}] s "
         f"-> {args.out}"
     )
-    return 0
+    return {
+        "command": args.command,
+        "params": _param_dict(params, drive),
+        "powers_uw": powers_uw,
+        "delta_over_omega_m": args.delta_over_omega_m,
+    }
 
 
-def _cmd_delay_sweep(args) -> int:
+def _cmd_delay_sweep(args) -> dict:
     return _run_power_sweep(args, strict_single_point=True)
 
 
-def _cmd_width_sweep(args) -> int:
+def _cmd_width_sweep(args) -> dict:
     return _run_power_sweep(args, strict_single_point=False)
 
 
-def _default_pulse_width(params: SystemParams) -> float:
-    # a tenth of a mirror period: a sudden kick on the mechanical timescale
-    return 0.1 * 2.0 * math.pi / params.mirror_freq
-
-
-def _dynamics_pieces(args, params, drive):
+def _cmd_dynamics(args) -> dict:
+    params, drive = _resolve_params(args)
     st = solve_steady(params, derive(params, drive))
     delta = args.delta_over_omega_m * params.mirror_freq
     matrix = build_matrix(delta, params, derive(params, drive), st)
 
-    width = args.pulse_width_s if args.pulse_width_s is not None else _default_pulse_width(params)
+    width = args.pulse_width_s
+    if width is None:
+        # a tenth of a mirror period: a sudden kick on the mechanical timescale
+        width = 0.1 * 2.0 * math.pi / params.mirror_freq
     center = args.pulse_center_s if args.pulse_center_s is not None else 25.0 * width
     pulse = PulseSpec(
         shape=args.pulse_shape, amplitude=args.pulse_amp, width=width, center=center
     )
-    t_start = args.t_start
-    t_end = args.t_end if args.t_end is not None else center + 55.0 * width
-    dt = (
-        args.dt
-        if args.dt is not None
-        else min(0.02 / matrix.spectral_radius, width / 64.0)
-    )
-    return st, delta, matrix, pulse, (t_start, t_end), dt
+    span = (args.t_start, args.t_end if args.t_end is not None else center + 55.0 * width)
+    dt = args.dt if args.dt is not None else min(0.02 / matrix.spectral_radius, width / 64.0)
 
-
-def _cmd_dynamics(args) -> int:
-    params, drive = _resolve_params(args)
-    st, delta, matrix, pulse, span, dt = _dynamics_pieces(args, params, drive)
     traj = integrate(matrix, pulse, span, dt, method=args.method, samples=args.samples)
     traj = reconstruct_displacement(
         traj, st, delta, amplitude_scale=drive.probe_amplitude_scale
     )
-    rows = [
-        (
-            traj.times[i],
-            traj.q_plus[i].real,
-            traj.q_plus[i].imag,
-            traj.c_plus[i].real,
-            traj.c_plus[i].imag,
-            traj.q_total[i],
-        )
-        for i in range(len(traj.times))
-    ]
+    rows = zip(
+        traj.times,
+        traj.q_plus.real,
+        traj.q_plus.imag,
+        traj.c_plus.real,
+        traj.c_plus.imag,
+        traj.q_total,
+    )
     _emit(_csv(DYNAMICS_HEADER, rows), args.out)
     _note(
-        f"dynamics: {len(rows)} rows, max |q_plus|={np.max(np.abs(traj.q_plus)):.4e} m "
+        f"dynamics: {len(traj.times)} rows, max |q_plus|={np.max(np.abs(traj.q_plus)):.4e} m "
         f"-> {args.out}"
     )
-    return 0
+    return {
+        "command": args.command,
+        "params": _param_dict(params, drive),
+        "pulse": {
+            "shape": pulse.shape,
+            "amplitude": pulse.amplitude,
+            "width_s": pulse.width,
+            "center_s": pulse.center,
+        },
+        "t_span_s": list(span),
+        "dt_s": dt,
+        "delta_over_omega_m": args.delta_over_omega_m,
+    }
+
+
+def _phase_unwrap(spectrum_csv: Path, out: Path) -> dict:
+    """Stitch the phase column of a spectrum CSV into a continuous curve."""
+    delta, delta_over_omega_m, phase = np.loadtxt(
+        spectrum_csv, delimiter=",", skiprows=1, usecols=(0, 1, 6), ndmin=2, unpack=True
+    )
+    rows = zip(delta, delta_over_omega_m, unwrap_phase(phase))
+    _emit(_csv("delta_rad_s,delta_over_omega_m,phase_t_unwrapped_rad", rows), str(out))
+    return {"command": "phase-unwrap"}
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +322,6 @@ def comparison_report(params: SystemParams) -> dict:
     empty = group_delay_analytic(omega_m, params, st0)
     sweep = power_sweep([p * 1e-6 for p in (0.2, 0.5, 1.0, 2.0, 5.0)], omega_m, params)
     t_res = abs(transmitted_amplitude(omega_m, params, st5)) ** 2
-    width5 = eit_width(params, st5, power=5e-6)
     return {
         "empty_cavity_transmission_delay_s": {
             "computed": empty.tau_t,
@@ -321,7 +342,7 @@ def comparison_report(params: SystemParams) -> dict:
             "reference_reported": "deep dip, about 0.01",
         },
         "transparency_width_rad_s_at_5uW": {
-            "computed": width5.gamma_width,
+            "computed": eit_width(params, st5),
             "reference_reported_scale": 4.0e4,
         },
         "mechanical_quality_factor": {
@@ -331,160 +352,73 @@ def comparison_report(params: SystemParams) -> dict:
     }
 
 
-def _figure_spec_args(ns: dict) -> argparse.Namespace:
-    base = {
-        "config": None,
-        "power_uw": None,
-        "grid_min": 0.5,
-        "grid_max": 1.5,
-        "grid_n": 2001,
-        "delta_over_omega_m": 1.0,
-        "powers_uw": None,
-        "pulse_shape": "sech",
-        "pulse_width_s": None,
-        "pulse_center_s": None,
-        "pulse_amp": 1.0,
-        "t_start": 0.0,
-        "t_end": None,
-        "dt": None,
-        "samples": 4096,
-        "method": "rk4",
-    }
-    base.update(ns)
-    return argparse.Namespace(**base)
+# Probe at 5% of the reference pump rate: still linear-response weak, but the
+# reconstructed displacement excursion is comparable to the static shift,
+# which is the regime the published time traces show.
+_KICK = ["--pulse-amp", repr(0.05 * derive(*reference_defaults()).drive_amplitude)]
+_FIG4_POWERS = ["--powers-uw", ",".join(map(repr, np.linspace(0.1, 5.0, 50).tolist()))]
+
+# Each figure is a list of runs (command, flags, output file).  A run is
+# parsed and executed exactly as ``cavity-eit <command> <flags>`` would be.
+# The 5 uW runs leave out --power-uw: it would resolve 5 * 1e-6, one ulp
+# below the reference pump of 5e-6 W.  ``phase-unwrap`` is the one step
+# that is not a command: it post-processes the named spectrum CSV.
+FIGURE_RUNS = {
+    "fig2": [("spectrum", [], "fig2_spectrum_5uw.csv")],
+    "fig3": [
+        ("spectrum", ["--power-uw", "1"], "fig3_spectrum_1uw.csv"),
+        ("phase-unwrap", ["fig3_spectrum_1uw.csv"], "fig3_phase_unwrapped.csv"),
+    ],
+    "fig4": [("delay-sweep", _FIG4_POWERS, "fig4_delay_sweep.csv")],
+    "fig5": [("delay-sweep", _FIG4_POWERS, "fig5_delay_sweep.csv")],
+    "fig6": [
+        ("spectrum", ["--power-uw", "0"], "fig6_spectrum_0uw.csv"),
+        ("spectrum", [], "fig6_spectrum_5uw.csv"),
+    ],
+    "fig7": [
+        ("spectrum", ["--power-uw", "0"], "fig7_spectrum_0uw.csv"),
+        ("spectrum", [], "fig7_spectrum_5uw.csv"),
+    ],
+    "fig8": [("width-sweep", [], "fig8_width_sweep.csv")],
+    "fig9": [("dynamics", _KICK, "fig9_dynamics.csv")],
+    "fig10": [("dynamics", _KICK, "fig10_dynamics.csv")],
+}
+FIGURE_IDS = tuple(FIGURE_RUNS)
 
 
 def emit_figure_bundle(figure_id: str, out_dir: str | Path) -> list[Path]:
     """Write the data bundle for one published figure of the reference setup.
 
     Every bundle contains the data CSV(s), a ``<figure>_config.json``
-    sidecar recording the exact configuration (reloadable through
-    ``--config``), and ``comparison_report.json``.
+    sidecar holding the record of each run (its ``params`` reloadable
+    through ``--config``), and ``comparison_report.json``.
     """
-    if figure_id not in FIGURE_IDS:
+    if figure_id not in FIGURE_RUNS:
         raise ParameterError(
             f"figure id must be one of {', '.join(FIGURE_IDS)}, got {figure_id!r}"
         )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    params, _ = reference_defaults()
+    parser = _build_parser()
     written: list[Path] = []
-    sidecar: dict = {"figure": figure_id}
-
-    def emit_spectrum(power_w: float, name: str) -> dict:
-        drive = DriveParams(pump_power=power_w)
-        st = solve_steady(params, derive(params, drive))
-        table = spectrum(default_delta_grid(params), params, st, power=power_w)
+    runs = []
+    for command, flags, name in FIGURE_RUNS[figure_id]:
         path = out / name
-        _emit(_csv(SPECTRUM_HEADER, _spectrum_rows(table, params.mirror_freq)), str(path))
+        if command == "phase-unwrap":
+            record = _phase_unwrap(out / flags[0], path)
+        else:
+            args = parser.parse_args([command, *flags, "--out", str(path)])
+            record = args.func(args)
+        runs.append({**record, "output": name})
         written.append(path)
-        return {
-            "command": "spectrum",
-            "params": _param_dict(params, drive),
-            "grid": {"min": 0.5, "max": 1.5, "n": 2001, "unit": "mirror_freq"},
-            "output": name,
-        }
-
-    def emit_sweep(name: str) -> dict:
-        powers = list(np.linspace(0.1e-6, 5e-6, 50))
-        points = power_sweep(powers, params.mirror_freq, params)
-        path = out / name
-        _emit(_csv(SWEEP_HEADER, _sweep_rows(points)), str(path))
-        written.append(path)
-        return {
-            "command": "delay-sweep",
-            "params": _param_dict(params, DriveParams(pump_power=5e-6)),
-            "powers_uw": [p * 1e6 for p in powers],
-            "delta_over_omega_m": 1.0,
-            "output": name,
-        }
-
-    def emit_dynamics(name: str) -> dict:
-        drive = DriveParams(pump_power=5e-6)
-        # probe at 5% of the pump rate: still linear-response weak, but the
-        # reconstructed displacement excursion is comparable to the static
-        # shift, which is the regime the published time traces show
-        eps_p = 0.05 * derive(params, drive).drive_amplitude
-        args = _figure_spec_args({"power_uw": None, "pulse_amp": eps_p})
-        st, delta, matrix, pulse, span, dt = _dynamics_pieces(args, params, drive)
-        traj = integrate(matrix, pulse, span, dt, samples=args.samples)
-        traj = reconstruct_displacement(traj, st, delta)
-        rows = [
-            (
-                traj.times[i],
-                traj.q_plus[i].real,
-                traj.q_plus[i].imag,
-                traj.c_plus[i].real,
-                traj.c_plus[i].imag,
-                traj.q_total[i],
-            )
-            for i in range(len(traj.times))
-        ]
-        path = out / name
-        _emit(_csv(DYNAMICS_HEADER, rows), str(path))
-        written.append(path)
-        return {
-            "command": "dynamics",
-            "params": _param_dict(params, drive),
-            "pulse": {
-                "shape": pulse.shape,
-                "amplitude": pulse.amplitude,
-                "width_s": pulse.width,
-                "center_s": pulse.center,
-            },
-            "t_span_s": list(span),
-            "dt_s": dt,
-            "delta_over_omega_m": 1.0,
-            "output": name,
-        }
-
-    if figure_id == "fig2":
-        sidecar["runs"] = [emit_spectrum(5e-6, "fig2_spectrum_5uw.csv")]
-    elif figure_id == "fig3":
-        run = emit_spectrum(1e-6, "fig3_spectrum_1uw.csv")
-        # companion with stitched phase for a continuous curve
-        drive = DriveParams(pump_power=1e-6)
-        st = solve_steady(params, derive(params, drive))
-        table = spectrum(default_delta_grid(params), params, st, power=1e-6)
-        stitched = unwrap_phase(table.phase_t)
-        rows = [
-            (table.delta[i], table.delta[i] / params.mirror_freq, stitched[i])
-            for i in range(len(table))
-        ]
-        path = out / "fig3_phase_unwrapped.csv"
-        _emit(_csv("delta_rad_s,delta_over_omega_m,phase_t_unwrapped_rad", rows), str(path))
-        written.append(path)
-        sidecar["runs"] = [run, {"command": "phase-unwrap", "output": path.name}]
-    elif figure_id in ("fig4", "fig5"):
-        sidecar["runs"] = [emit_sweep(f"{figure_id}_delay_sweep.csv")]
-    elif figure_id in ("fig6", "fig7"):
-        sidecar["runs"] = [
-            emit_spectrum(0.0, f"{figure_id}_spectrum_0uw.csv"),
-            emit_spectrum(5e-6, f"{figure_id}_spectrum_5uw.csv"),
-        ]
-    elif figure_id == "fig8":
-        powers = list(np.linspace(0.1e-6, 5e-6, 20))
-        points = power_sweep(powers, params.mirror_freq, params)
-        path = out / "fig8_width_sweep.csv"
-        _emit(_csv(SWEEP_HEADER, _sweep_rows(points)), str(path))
-        written.append(path)
-        sidecar["runs"] = [
-            {
-                "command": "width-sweep",
-                "params": _param_dict(params, DriveParams(pump_power=5e-6)),
-                "powers_uw": [p * 1e6 for p in powers],
-                "delta_over_omega_m": 1.0,
-                "output": path.name,
-            }
-        ]
-    else:  # fig9, fig10
-        sidecar["runs"] = [emit_dynamics(f"{figure_id}_dynamics.csv")]
 
     config_path = out / f"{figure_id}_config.json"
+    sidecar = {"figure": figure_id, "runs": runs}
     _emit(json.dumps(sidecar, indent=2, sort_keys=True) + "\n", str(config_path))
     written.append(config_path)
 
     report_path = out / "comparison_report.json"
+    params, _ = reference_defaults()
     _emit(
         json.dumps(comparison_report(params), indent=2, sort_keys=True) + "\n",
         str(report_path),
@@ -493,10 +427,9 @@ def emit_figure_bundle(figure_id: str, out_dir: str | Path) -> list[Path]:
     return written
 
 
-def _cmd_figure(args) -> int:
+def _cmd_figure(args) -> None:
     files = emit_figure_bundle(args.figure_id, args.out_dir)
     _note(f"figure {args.figure_id}: wrote {len(files)} files to {args.out_dir}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +506,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits with 2 on usage errors
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        args.func(args)
+        return 0
     except ParameterError as exc:
         _note(f"error: {exc}")
         return 1

@@ -33,8 +33,6 @@ scalar is undefined.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
@@ -101,33 +99,11 @@ class SpectrumTable:
         return len(self.delta)
 
 
-@dataclass(frozen=True)
-class WidthReport:
-    """Half-width of the transparency feature at a given pump power."""
-
-    gamma_width: float  # rad/s
-    power: float  # W
-
-
 class PowerPoint(NamedTuple):
     power: float  # W
     tau_t: float  # s
     tau_r: float  # s
     gamma_width: float  # rad/s
-
-
-def thread_count() -> int:
-    """Worker count for grid evaluations, capped by CAVITY_EIT_THREADS (0 = auto)."""
-    raw = os.environ.get("CAVITY_EIT_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParameterError(f"CAVITY_EIT_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ParameterError(f"CAVITY_EIT_THREADS must be >= 0, got {n}")
-    if n == 0:
-        return min(8, os.cpu_count() or 1)
-    return n
 
 
 def _pieces(delta: ArrayLike, params: SystemParams, alpha: float):
@@ -207,18 +183,18 @@ def _mask_floor(tau: np.ndarray, amp: np.ndarray) -> np.ndarray:
     return np.where(amp < AMPLITUDE_FLOOR, np.nan, tau)
 
 
-def _taus_analytic(delta: ArrayLike, params: SystemParams, alpha: float):
-    """Exact log-derivative delays from the quotient rule on the rational response."""
+def _analytic(delta: ArrayLike, params: SystemParams, alpha: float):
+    """eps_T and the exact log-derivative delays (quotient rule), from one evaluation."""
     num, dnum, den, dden = _pieces(delta, params, alpha)
     k2 = 2.0 * params.cavity_decay
     rnum = k2 * num - den  # eps_r = rnum / den
     drnum = k2 * dnum - dden
     with np.errstate(divide="ignore", invalid="ignore"):
+        eps_t = k2 * num / den
         tau_t = np.imag(dnum / num - dden / den)
         tau_r = np.imag(drnum / rnum - dden / den)
-        amp_t = np.abs(k2 * num / den)
         amp_r = np.abs(rnum / den)
-    return _mask_floor(tau_t, amp_t), _mask_floor(tau_r, amp_r)
+    return eps_t, _mask_floor(tau_t, np.abs(eps_t)), _mask_floor(tau_r, amp_r)
 
 
 def _taus_fd(delta: ArrayLike, params: SystemParams, alpha: float, step: float):
@@ -245,7 +221,7 @@ def group_delay_analytic(
     delta: float, params: SystemParams, steady: SteadyState
 ) -> DelayReport:
     """Group delay of both ports from the exact derivative of the response."""
-    tau_t, tau_r = _taus_analytic(delta, params, steady.alpha)
+    _, tau_t, tau_r = _analytic(delta, params, steady.alpha)
     return DelayReport(
         tau_t=float(tau_t),
         tau_r=float(tau_r),
@@ -283,16 +259,6 @@ def default_delta_grid(params: SystemParams, n: int = 2001) -> np.ndarray:
     return np.linspace(0.5 * params.mirror_freq, 1.5 * params.mirror_freq, n)
 
 
-def _spectrum_block(delta: np.ndarray, params: SystemParams, alpha: float):
-    num, _, den, _ = _pieces(delta, params, alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eps_t = 2.0 * params.cavity_decay * num / den
-    phase = np.angle(eps_t)
-    phase = np.where(eps_t == 0, np.nan, phase)
-    tau_t, tau_r = _taus_analytic(delta, params, alpha)
-    return eps_t, phase, tau_t, tau_r
-
-
 def spectrum(
     delta_grid: Sequence[float] | np.ndarray,
     params: SystemParams,
@@ -301,10 +267,8 @@ def spectrum(
 ) -> SpectrumTable:
     """Evaluate the probe response over a detuning grid.
 
-    Points are independent; with CAVITY_EIT_THREADS > 1 the grid is split
-    into contiguous chunks evaluated concurrently.  Output ordering always
-    matches the input grid, and per-point undefined delays appear as NaN
-    gaps instead of aborting the sweep.
+    Per-point undefined delays appear as NaN gaps instead of aborting the
+    sweep.
     """
     grid = np.asarray(delta_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -312,40 +276,24 @@ def spectrum(
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ParameterError("delta grid must be strictly increasing")
 
-    workers = thread_count()
-    if workers > 1 and grid.size >= 4 * workers:
-        chunks = np.array_split(grid, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda c: _spectrum_block(c, params, steady.alpha), chunks)
-            )
-        eps_t = np.concatenate([p[0] for p in parts])
-        phase = np.concatenate([p[1] for p in parts])
-        tau_t = np.concatenate([p[2] for p in parts])
-        tau_r = np.concatenate([p[3] for p in parts])
-    else:
-        eps_t, phase, tau_t, tau_r = _spectrum_block(grid, params, steady.alpha)
-
+    eps_t, tau_t, tau_r = _analytic(grid, params, steady.alpha)
     return SpectrumTable(
         delta=grid,
         eps_t=eps_t,
         transmission=np.abs(eps_t) ** 2,
         reflection=np.abs(eps_t - 1.0) ** 2,
-        phase_t=phase,
+        phase_t=np.where(eps_t == 0, np.nan, np.angle(eps_t)),
         tau_t=tau_t,
         tau_r=tau_r,
         power=power,
     )
 
 
-def eit_width(
-    params: SystemParams, steady: SteadyState, power: float = math.nan
-) -> WidthReport:
-    """Transparency half-width Gamma = gamma_m/2 + alpha / (4*m*omega_m*kappa)."""
-    gamma = params.mirror_damping / 2.0 + steady.alpha / (
+def eit_width(params: SystemParams, steady: SteadyState) -> float:
+    """Transparency half-width Gamma = gamma_m/2 + alpha / (4*m*omega_m*kappa), rad/s."""
+    return params.mirror_damping / 2.0 + steady.alpha / (
         4.0 * params.mirror_mass * params.mirror_freq * params.cavity_decay
     )
-    return WidthReport(gamma_width=gamma, power=power)
 
 
 def power_sweep(
@@ -370,8 +318,7 @@ def power_sweep(
     for p in values:
         steady = solve_steady(params, derive(params, DriveParams(pump_power=p)))
         report = group_delay_analytic(delta, params, steady)
-        width = eit_width(params, steady, power=p)
-        out.append(PowerPoint(p, report.tau_t, report.tau_r, width.gamma_width))
+        out.append(PowerPoint(p, report.tau_t, report.tau_r, eit_width(params, steady)))
     return out
 
 

@@ -31,7 +31,6 @@ class SteadyState:
     photon_number: float  # |c0|^2
     mirror_displacement: float  # m, static radiation-pressure shift q0
     alpha: float  # kg rad^3/s^3, hbar*g^2*|c0|^2
-    mirror_momentum: float = 0.0  # kg m/s, identically zero here
 
 
 def solve_steady(params: SystemParams, derived: DerivedConstants) -> SteadyState:

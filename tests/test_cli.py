@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -7,6 +8,8 @@ import pytest
 import cavity_eit as ce
 from cavity_eit.cli import (
     DYNAMICS_HEADER,
+    FIGURE_IDS,
+    FIGURE_RUNS,
     SPECTRUM_HEADER,
     SWEEP_HEADER,
     emit_figure_bundle,
@@ -240,17 +243,101 @@ def test_comparison_report_contents(tmp_path):
     assert "note" in refl
 
 
-def test_sidecar_round_trip(tmp_path):
-    # a config echoed to the sidecar, reloaded through --config, reproduces
-    # the bundle CSV byte for byte
-    emit_figure_bundle("fig7", tmp_path)
-    sidecar = json.loads((tmp_path / "fig7_config.json").read_text())
-    run_cfg = sidecar["runs"][1]  # the 5 uW spectrum
+# SHA-256 of every file of every bundle.  Any change here is a change of
+# output bytes and must be deliberate.
+BUNDLE_SHA256 = {
+    "fig2/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
+    "fig2/fig2_config.json": "cdb18e04bcdf55ab992f382dae1d83d976e6a3f94214800082ca9f2f9e8f2304",
+    "fig2/fig2_spectrum_5uw.csv": "28e02f850e6b74f746936782126ae4b2d2097414554bfd2aeea6d31a0ceba67c",
+    "fig3/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
+    "fig3/fig3_config.json": "d952d32a679561d5e757f4a53dacc6bef8f01872261f820a083ec1063e3cbaee",
+    "fig3/fig3_phase_unwrapped.csv": "e60132bfb9132af15ef7b58655931c7e5b6f082d7c713b38312eff91e29f4d93",
+    "fig3/fig3_spectrum_1uw.csv": "7176aa4283444833995e0c37e06fc584d6f67f43593c38012c05a873eea3b194",
+    "fig4/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
+    "fig4/fig4_config.json": "4d2571ee9ed6aad6cbd8e884f05443f8276df0a8ad25450349790709ee5dd74c",
+    "fig4/fig4_delay_sweep.csv": "28683cfc7b9f3868c07acb90b34470b1cbfda16c91c71cf91a5ed4a5ee0c228f",
+    "fig5/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
+    "fig5/fig5_config.json": "80805f719f9f9b8d8392c1b1b608b55728c099e13bd08f343e782d9bf2b1f497",
+    "fig5/fig5_delay_sweep.csv": "28683cfc7b9f3868c07acb90b34470b1cbfda16c91c71cf91a5ed4a5ee0c228f",
+    "fig6/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
+    "fig6/fig6_config.json": "bad3b11e4ceec5fd90253918975eae2c0283aeb7ec1bb536365fa61c0ea2618c",
+    "fig6/fig6_spectrum_0uw.csv": "857760f4d299b84657fd6295f6226fdc4b69cf41f814eb2f3350a6d0ff0d000b",
+    "fig6/fig6_spectrum_5uw.csv": "28e02f850e6b74f746936782126ae4b2d2097414554bfd2aeea6d31a0ceba67c",
+    "fig7/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
+    "fig7/fig7_config.json": "1ee8f238e1aa41280e625fef61666ebbf2764152105fa62013519c9b3dee2e26",
+    "fig7/fig7_spectrum_0uw.csv": "857760f4d299b84657fd6295f6226fdc4b69cf41f814eb2f3350a6d0ff0d000b",
+    "fig7/fig7_spectrum_5uw.csv": "28e02f850e6b74f746936782126ae4b2d2097414554bfd2aeea6d31a0ceba67c",
+    "fig8/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
+    "fig8/fig8_config.json": "a0cbbbe87e0c166032f277cd752b5c0cf244add5fb3c2fa3d09e6a71555a1341",
+    "fig8/fig8_width_sweep.csv": "7a124f7aaecf94f45ae77561464240ef887148e392327be5135cdb46aaff013a",
+    "fig9/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
+    "fig9/fig9_config.json": "45decc788e89fc3c6d8687ad092ab25ac9a036645781c04e9b96976d68c46e31",
+    "fig9/fig9_dynamics.csv": "49ec34337f6cc940427ddc581a4d7d491837256459eb08fbaf4073a26d0d7e3d",
+    "fig10/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
+    "fig10/fig10_config.json": "5785479f6c20436307e16e776d6506ebc5aaddca9c75363ff68f49da0e9ac9db",
+    "fig10/fig10_dynamics.csv": "49ec34337f6cc940427ddc581a4d7d491837256459eb08fbaf4073a26d0d7e3d",
+}
+
+
+@pytest.fixture(scope="module")
+def bundles(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bundles")
+    for figure_id in FIGURE_IDS:
+        emit_figure_bundle(figure_id, root / figure_id)
+    return root
+
+
+def test_figure_bundle_hashes(bundles):
+    got = {
+        f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(bundles.glob("*/*"))
+    }
+    assert got == BUNDLE_SHA256
+
+
+def _replay_flags(run_cfg):
+    """The flags a sidecar run records, as command-line arguments."""
+    command = run_cfg["command"]
+    if command == "spectrum":
+        grid = run_cfg["grid"]
+        return ["--grid-min", repr(grid["min"]), "--grid-max", repr(grid["max"]),
+                "--grid-n", str(grid["n"])]
+    if command in ("delay-sweep", "width-sweep"):
+        return ["--powers-uw", ",".join(map(repr, run_cfg["powers_uw"])),
+                "--delta-over-omega-m", repr(run_cfg["delta_over_omega_m"])]
+    assert command == "dynamics"
+    pulse = run_cfg["pulse"]
+    t0, t1 = run_cfg["t_span_s"]
+    return ["--pulse-shape", pulse["shape"], "--pulse-amp", repr(pulse["amplitude"]),
+            "--pulse-width-s", repr(pulse["width_s"]),
+            "--pulse-center-s", repr(pulse["center_s"]),
+            "--t-start", repr(t0), "--t-end", repr(t1), "--dt", repr(run_cfg["dt_s"]),
+            "--delta-over-omega-m", repr(run_cfg["delta_over_omega_m"])]
+
+
+# every command run of every bundle; phase-unwrap is a post-processing step
+# of the fig3 spectrum, covered by the hashes above
+CLI_RUNS = [
+    (figure_id, name)
+    for figure_id, runs in FIGURE_RUNS.items()
+    for command, _, name in runs
+    if command != "phase-unwrap"
+]
+
+
+@pytest.mark.parametrize("figure_id,output", CLI_RUNS, ids=[name for _, name in CLI_RUNS])
+def test_sidecar_round_trip(bundles, tmp_path, figure_id, output):
+    # a sidecar run, its params reloaded through --config and its recorded
+    # flags passed back, reproduces the bundle CSV byte for byte
+    sidecar = json.loads((bundles / figure_id / f"{figure_id}_config.json").read_text())
+    (run_cfg,) = [r for r in sidecar["runs"] if r["output"] == output]
     cfg_path = tmp_path / "replay.json"
     cfg_path.write_text(json.dumps(run_cfg["params"]))
     replay = tmp_path / "replay.csv"
-    assert run("spectrum", "--config", str(cfg_path), "--out", str(replay)) == 0
-    assert replay.read_bytes() == (tmp_path / "fig7_spectrum_5uw.csv").read_bytes()
+    argv = [run_cfg["command"], "--config", str(cfg_path), *_replay_flags(run_cfg),
+            "--out", str(replay)]
+    assert run(*argv) == 0
+    assert replay.read_bytes() == (bundles / figure_id / output).read_bytes()
 
 
 def test_cli_figure_command(tmp_path):

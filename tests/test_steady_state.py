@@ -15,7 +15,6 @@ def test_zero_pump_is_dark(ref):
     assert st.photon_number == 0
     assert st.mirror_displacement == 0
     assert st.alpha == 0
-    assert st.mirror_momentum == 0
 
 
 def test_photon_number_definition(steady_5uw):
@@ -50,10 +49,6 @@ def test_displacement_sign_opposes_coupling(ref, steady_5uw):
     g = ce.derive(params, drive).coupling_constant
     assert steady_5uw.photon_number > 0
     assert math.copysign(1.0, steady_5uw.mirror_displacement) == -math.copysign(1.0, g)
-
-
-def test_momentum_is_zero(steady_5uw):
-    assert steady_5uw.mirror_momentum == 0.0
 
 
 def test_force_balance(ref, steady_5uw):
