@@ -170,6 +170,42 @@ def test_dynamics_rejects_oversized_step(tmp_path, capsys):
     assert "dt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--t-end", "inf"],
+        ["--t-start=-inf"],
+        ["--dt", "inf"],
+        ["--pulse-width-s", "inf"],
+        ["--pulse-amp", "inf"],
+        ["--pulse-center-s", "nan"],
+    ],
+)
+def test_dynamics_rejects_non_finite_inputs(tmp_path, capsys, flags):
+    out = tmp_path / "x.csv"
+    assert run("dynamics", *flags, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_dynamics_expm_matches_rk4(tmp_path):
+    kick = FIGURE_RUNS["fig9"][0][1]
+    assert run("dynamics", *kick, "--out", str(tmp_path / "rk4.csv")) == 0
+    assert run("dynamics", *kick, "--method", "expm", "--out", str(tmp_path / "expm.csv")) == 0
+    rk4 = np.loadtxt(tmp_path / "rk4.csv", delimiter=",", skiprows=1)
+    expm = np.loadtxt(tmp_path / "expm.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rk4[:, 0], expm[:, 0])
+    # expm interpolates the forcing linearly across a step, an O(dt^2) error:
+    # at the default step the two differ by 1.0e-6 (q_plus) and 5.5e-6 (c_plus)
+    # of the peak, and by a quarter of that at half the step
+    for re_col in (1, 3):  # q_plus, c_plus
+        a = rk4[:, re_col] + 1j * rk4[:, re_col + 1]
+        b = expm[:, re_col] + 1j * expm[:, re_col + 1]
+        assert np.abs(a - b).max() <= 1e-5 * np.abs(a).max()
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert run("no-such-command") == 1
     assert run() == 1

@@ -1,10 +1,13 @@
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import cavity_eit as ce
-from cavity_eit.dynamics import METHOD_EXPM, METHOD_RK4
+from cavity_eit import dynamics
+from cavity_eit.dynamics import METHOD_EXPM, METHOD_RK4, PULSE_SHAPES
 
 from conftest import steady_at
 
@@ -102,6 +105,15 @@ def test_pulse_validation():
         ce.PulseSpec("sech", 1.0, 0.0)
     with pytest.raises(ce.ParameterError, match="amplitude"):
         ce.PulseSpec("sech", -1.0, 1e-6)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ce.ParameterError, match="width"):
+            ce.PulseSpec("sech", 1.0, bad)
+        with pytest.raises(ce.ParameterError, match="amplitude"):
+            ce.PulseSpec("sech", bad, 1e-6)
+        with pytest.raises(ce.ParameterError, match="center"):
+            ce.PulseSpec("sech", 1.0, 1e-6, center=bad)
+    with pytest.raises(ce.ParameterError, match="center"):
+        ce.PulseSpec("constant", 1.0, 1e-6, center=-math.inf)
 
 
 # --- integration ---------------------------------------------------------------
@@ -254,6 +266,122 @@ def test_integrate_validation(matrix_5uw):
         ce.integrate(M, pulse, (0.0, 1e-4), 1e-7, samples=1)
     with pytest.raises(ce.ParameterError):
         ce.integrate(M, "not a pulse", (0.0, 1e-4), 1e-7)
+    # non-finite times are refused before a step count is formed from them
+    for method in (METHOD_RK4, METHOD_EXPM):
+        for span in ((0.0, math.inf), (-math.inf, 1e-4), (0.0, math.nan)):
+            with pytest.raises(ce.ParameterError, match="t_span"):
+                ce.integrate(M, pulse, span, 1e-7, method=method)
+        for dt in (math.inf, math.nan):
+            with pytest.raises(ce.ParameterError, match="dt"):
+                ce.integrate(M, pulse, (0.0, 1e-4), dt, method=method)
+
+
+# --- exponential integrator against its step-by-step form --------------------
+
+
+def _expm_propagators(matrix, h):
+    """Step matrices P, Ph1, Ph2 with V' = P V + Ph1 F_n + Ph2 (F_{n+1} - F_n)."""
+    arr = matrix.as_array()
+    lam, vecs = np.linalg.eig(arr)
+    vinv = np.linalg.inv(vecs)
+    z = -lam * h
+
+    def assemble(diag):
+        return vecs @ np.diag(diag) @ vinv
+
+    prop = assemble(np.exp(z))
+    ph1 = assemble(np.array([h * dynamics._phi1(zi) for zi in z]))
+    ph2 = assemble(np.array([h * dynamics._phi2(zi) for zi in z]))
+    return prop, ph1, ph2
+
+
+def loop_expm(matrix, forcing, t_span, dt, samples):
+    """The exponential integrator as a per-step loop: the oracle of the blocked solve."""
+    f = dynamics._as_callable(forcing)
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    n_steps = max(1, math.ceil((t1 - t0) / dt - 1e-9))
+    h = (t1 - t0) / n_steps
+    stride = max(1, -(-n_steps // (samples - 1)))
+
+    rec_t = [t0]
+    rec_q = [0j]
+    rec_c = [0j]
+    prop, ph1, ph2 = _expm_propagators(matrix, h)
+    state = np.zeros(2, dtype=complex)
+    f_now = np.array([0.0, f(t0)], dtype=complex)
+    for n in range(n_steps):
+        f_next = np.array([0.0, f(t0 + (n + 1) * h)], dtype=complex)
+        state = prop @ state + ph1 @ f_now + ph2 @ (f_next - f_now)
+        f_now = f_next
+        if (n + 1) % stride == 0 or n + 1 == n_steps:
+            rec_t.append(t0 + (n + 1) * h)
+            rec_q.append(state[0])
+            rec_c.append(state[1])
+    return ce.Trajectory(
+        times=np.array(rec_t, dtype=float),
+        q_plus=np.array(rec_q, dtype=complex),
+        c_plus=np.array(rec_c, dtype=complex),
+    )
+
+
+def assert_matches_loop(M, forcing, span, dt, samples):
+    got = ce.integrate(M, forcing, span, dt, method=METHOD_EXPM, samples=samples,
+                       require_quiet_start=False)
+    want = loop_expm(M, forcing, span, dt, samples)
+    assert np.array_equal(got.times, want.times)
+    for key in ("q_plus", "c_plus"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert a.dtype == complex
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    return got
+
+
+@pytest.mark.parametrize("shape", PULSE_SHAPES)
+def test_expm_matches_loop_for_each_shape(matrix_5uw, shape):
+    params, _, M = matrix_5uw
+    w = kick_width(params)
+    pulse = ce.PulseSpec(shape, 1.0, w, 25 * w)
+    for samples in (257, 4000):  # below and above the 3000 steps
+        assert_matches_loop(M, pulse, (0.0, 60 * w), w / 50, samples)
+
+
+def test_expm_matches_loop_for_callable_forcing(matrix_5uw):
+    params, _, M = matrix_5uw
+    w = kick_width(params)
+    pulse = ce.PulseSpec("sech", 1.0, w, 25 * w)
+    chirped = lambda t: pulse.envelope(t) * cmath.exp(0.3j * t / w)  # noqa: E731
+    assert_matches_loop(M, chirped, (0.0, 60 * w), w / 50, 300)
+
+
+B = dynamics._EXPM_BLOCK
+
+
+@pytest.mark.parametrize("n_steps", [1, 3, B - 1, B, B + 1, 5 * B + 7])
+def test_expm_matches_loop_across_block_edges(matrix_5uw, n_steps):
+    _, _, M = matrix_5uw
+    dt = 0.05 / M.spectral_radius
+    t_end = n_steps * dt
+    pulse = ce.PulseSpec("sech", 1.0, t_end / 8, t_end / 2)
+    for samples in (2, 7, n_steps + 2):
+        traj = assert_matches_loop(M, pulse, (0.0, t_end), dt, samples)
+        assert traj.times[-1] == pytest.approx(t_end)
+    assert len(traj.times) == n_steps + 1  # every step recorded at the largest samples
+
+
+def test_expm_memory_does_not_grow_with_steps(matrix_5uw):
+    _, _, M = matrix_5uw
+    n_steps = 10**6
+    dt = 1e-9
+    pulse = ce.PulseSpec("constant", 1.0, 1.0)
+    tracemalloc.start()
+    try:
+        traj = ce.integrate(M, pulse, (0.0, n_steps * dt), dt, method=METHOD_EXPM, samples=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 64
+    # one array of the 10^6 forcing samples alone would take 16 MB
+    assert peak < 8 * 2**20
 
 
 # --- displacement reconstruction ----------------------------------------------
