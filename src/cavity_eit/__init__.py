@@ -24,18 +24,14 @@ from .response import (
     DegenerateDenominatorError,
     DelayReport,
     PowerPoint,
-    ProbeResponse,
     SpectrumTable,
     c_plus,
-    default_delta_grid,
     eit_width,
     group_delay_analytic,
     group_delay_fd,
     power_sweep,
-    probe_response,
     spectrum,
     transmitted_amplitude,
-    unwrap_phase,
 )
 from .dynamics import (
     InstabilityError,
@@ -62,7 +58,6 @@ __all__ = [
     "InstabilityError",
     "ParameterError",
     "PowerPoint",
-    "ProbeResponse",
     "PulseSpec",
     "SpectrumTable",
     "StepSizeError",
@@ -72,7 +67,6 @@ __all__ = [
     "Trajectory",
     "build_matrix",
     "c_plus",
-    "default_delta_grid",
     "derive",
     "eit_width",
     "group_delay_analytic",
@@ -80,12 +74,10 @@ __all__ = [
     "integrate",
     "load_params",
     "power_sweep",
-    "probe_response",
     "reconstruct_displacement",
     "reference_defaults",
     "solve_steady",
     "spectrum",
     "steady_response",
     "transmitted_amplitude",
-    "unwrap_phase",
 ]

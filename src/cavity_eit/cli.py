@@ -31,6 +31,7 @@ from .params import (
     DriveParams,
     ParameterError,
     SystemParams,
+    _param_dict,
     derive,
     load_params,
     reference_defaults,
@@ -43,7 +44,6 @@ from .response import (
     power_sweep,
     spectrum,
     transmitted_amplitude,
-    unwrap_phase,
 )
 from .dynamics import (
     InstabilityError,
@@ -70,17 +70,12 @@ NUMERICAL_ERRORS = (
 )
 
 
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    return f"{x:.16e}"
-
-
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: str, *columns) -> str:
+    """The header, then one row per index of the equal-length columns."""
+    template = ",".join(["%.16e"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    # %e prints every NaN, sign bit or not, as "nan"
+    return header + "\n" + "".join(map(template.__mod__, rows)).replace("nan", "NaN")
 
 
 def _emit(text: str, out: str) -> None:
@@ -95,21 +90,6 @@ def _emit(text: str, out: str) -> None:
 
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _param_dict(params: SystemParams, drive: DriveParams) -> dict:
-    """Flat SI parameter document; reloadable through load_params."""
-    return {
-        "cavity_length": params.cavity_length,
-        "wavelength": params.wavelength,
-        "mirror_mass": params.mirror_mass,
-        "mirror_freq": params.mirror_freq,
-        "mirror_damping": params.mirror_damping,
-        "cavity_decay": params.cavity_decay,
-        "effective_detuning": params.effective_detuning,
-        "pump_power": drive.pump_power,
-        "probe_amplitude_scale": drive.probe_amplitude_scale,
-    }
 
 
 def _resolve_params(args) -> tuple[SystemParams, DriveParams]:
@@ -131,21 +111,6 @@ def _powers_uw(raw: str | None) -> list[float]:
         return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
         raise ParameterError(f"--powers-uw must be a comma-separated number list, got {raw!r}")
-
-
-def _spectrum_rows(table, omega_m: float):
-    for i in range(len(table)):
-        yield (
-            table.delta[i],
-            table.delta[i] / omega_m,
-            table.transmission[i],
-            table.reflection[i],
-            table.eps_t[i].real,
-            table.eps_t[i].imag,
-            table.phase_t[i],
-            table.tau_t[i],
-            table.tau_r[i],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +158,9 @@ def _cmd_spectrum(args) -> dict:
     st = solve_steady(params, derive(params, drive))
     grid = _make_grid(args, params)
     table = spectrum(grid, params, st, power=drive.pump_power)
-    _emit(_csv(SPECTRUM_HEADER, _spectrum_rows(table, params.mirror_freq)), args.out)
+    columns = (table.delta, table.delta / params.mirror_freq, table.transmission, table.reflection,
+               table.eps_t.real, table.eps_t.imag, table.phase_t, table.tau_t, table.tau_r)
+    _emit(_csv(SPECTRUM_HEADER, *columns), args.out)
     i_min = int(np.nanargmin(table.transmission))
     _note(
         f"spectrum: {len(table)} rows, min T={table.transmission[i_min]:.4e} at "
@@ -221,7 +188,7 @@ def _run_power_sweep(args, strict_single_point: bool) -> dict:
                 f"(power={p.power:.6e} W, delta={delta:.6e} rad/s): output amplitude "
                 "magnitude below threshold"
             )
-    _emit(_csv(SWEEP_HEADER, points), args.out)
+    _emit(_csv(SWEEP_HEADER, *zip(*points)), args.out)
     _note(
         f"{args.command}: {len(points)} rows, tau_t range "
         f"[{min(p.tau_t for p in points):.4e}, {max(p.tau_t for p in points):.4e}] s "
@@ -245,9 +212,10 @@ def _cmd_width_sweep(args) -> dict:
 
 def _cmd_dynamics(args) -> dict:
     params, drive = _resolve_params(args)
-    st = solve_steady(params, derive(params, drive))
+    derived = derive(params, drive)
+    st = solve_steady(params, derived)
     delta = args.delta_over_omega_m * params.mirror_freq
-    matrix = build_matrix(delta, params, derive(params, drive), st)
+    matrix = build_matrix(delta, params, derived, st)
 
     width = args.pulse_width_s
     if width is None:
@@ -264,15 +232,8 @@ def _cmd_dynamics(args) -> dict:
     traj = reconstruct_displacement(
         traj, st, delta, amplitude_scale=drive.probe_amplitude_scale
     )
-    rows = zip(
-        traj.times,
-        traj.q_plus.real,
-        traj.q_plus.imag,
-        traj.c_plus.real,
-        traj.c_plus.imag,
-        traj.q_total,
-    )
-    _emit(_csv(DYNAMICS_HEADER, rows), args.out)
+    q, c = traj.q_plus, traj.c_plus
+    _emit(_csv(DYNAMICS_HEADER, traj.times, q.real, q.imag, c.real, c.imag, traj.q_total), args.out)
     _note(
         f"dynamics: {len(traj.times)} rows, max |q_plus|={np.max(np.abs(traj.q_plus)):.4e} m "
         f"-> {args.out}"
@@ -297,8 +258,8 @@ def _phase_unwrap(spectrum_csv: Path, out: Path) -> dict:
     delta, delta_over_omega_m, phase = np.loadtxt(
         spectrum_csv, delimiter=",", skiprows=1, usecols=(0, 1, 6), ndmin=2, unpack=True
     )
-    rows = zip(delta, delta_over_omega_m, unwrap_phase(phase))
-    _emit(_csv("delta_rad_s,delta_over_omega_m,phase_t_unwrapped_rad", rows), str(out))
+    header = "delta_rad_s,delta_over_omega_m,phase_t_unwrapped_rad"
+    _emit(_csv(header, delta, delta_over_omega_m, np.unwrap(phase)), str(out))
     return {"command": "phase-unwrap"}
 
 

@@ -168,6 +168,8 @@ def build_matrix(
     linearized dynamics grow without bound (parametric instability at
     high pump power) and InstabilityError is raised.
     """
+    if not math.isfinite(delta):
+        raise ParameterError(f"probe detuning must be finite, got {delta!r}")
     m = params.mirror_mass
     om = params.mirror_freq
     gm = params.mirror_damping

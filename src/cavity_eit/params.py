@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Union
 
@@ -154,16 +154,13 @@ _CONVENIENCE_KEYS = {
     "mirror_mass_ng": ("mirror_mass", 1e-12),
     "pump_power_uw": ("pump_power", 1e-6),
 }
-_SYSTEM_KEYS = (
-    "cavity_length",
-    "wavelength",
-    "mirror_mass",
-    "mirror_freq",
-    "mirror_damping",
-    "cavity_decay",
-    "effective_detuning",
-)
-_DRIVE_KEYS = ("pump_power", "probe_amplitude_scale")
+_SYSTEM_KEYS = tuple(f.name for f in fields(SystemParams))
+_DRIVE_KEYS = tuple(f.name for f in fields(DriveParams))
+
+
+def _param_dict(params: SystemParams, drive: DriveParams) -> dict:
+    """Flat SI parameter document: the inverse of load_params."""
+    return {**asdict(params), **asdict(drive)}
 
 
 def load_params(

@@ -45,31 +45,17 @@ ArrayLike = Union[float, np.ndarray]
 
 # |eps_X| below which a group delay is declared undefined.
 AMPLITUDE_FLOOR = 1e-9
-# |denominator| below which evaluating the response is refused outright.
+# |denominator| below which the response is undefined: NaN in grids and
+# sweeps, DegenerateDenominatorError for a scalar amplitude.
 DENOMINATOR_FLOOR = 1e-300
 # Default finite-difference step as a fraction of the mirror frequency:
 # small enough to resolve the narrow transparency feature at microwatt
 # pump powers, large enough to stay far above double-precision noise.
 FD_STEP_FRACTION = 1e-6
 
-METHOD_ANALYTIC = "analytic"
-METHOD_FINITE_DIFFERENCE = "finite_difference"
-
 
 class DegenerateDenominatorError(ArithmeticError):
     """Response denominator vanished; inputs are outside the physical domain."""
-
-
-@dataclass(frozen=True)
-class ProbeResponse:
-    """Complex probe response at a single detuning."""
-
-    delta: float  # rad/s
-    c_plus: complex  # s, sideband amplitude per unit probe drive
-    eps_t: complex  # transmitted amplitude, dimensionless
-    eps_r: complex  # reflected amplitude, eps_t - 1 exactly
-    phase_t: float  # rad, principal value; NaN for zero amplitude
-    phase_r: float  # rad
 
 
 @dataclass(frozen=True)
@@ -78,8 +64,6 @@ class DelayReport:
 
     tau_t: float  # s, transmission; NaN when |eps_t| < AMPLITUDE_FLOOR
     tau_r: float  # s, reflection; NaN when |eps_r| < AMPLITUDE_FLOOR
-    method: str  # METHOD_ANALYTIC or METHOD_FINITE_DIFFERENCE
-    fd_step: float  # rad/s, step used by the finite-difference method (else NaN)
 
 
 @dataclass(frozen=True)
@@ -128,82 +112,61 @@ def _pieces(delta: ArrayLike, params: SystemParams, alpha: float):
     return num, dnum, den, dden
 
 
-def c_plus(
-    delta: ArrayLike, params: SystemParams, steady: SteadyState
-) -> complex | np.ndarray:
-    """Sideband amplitude per unit probe drive. Accepts scalars or arrays."""
-    num, _, den, _ = _pieces(delta, params, steady.alpha)
-    if np.ndim(delta) == 0:
-        if abs(den) < DENOMINATOR_FLOOR:
-            raise DegenerateDenominatorError(
-                f"response denominator |{complex(den)!r}| below {DENOMINATOR_FLOOR} "
-                f"at delta={float(delta)!r}"
-            )
-        return complex(num / den)
+def _mask_floor(tau: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """NaN where |eps| is below AMPLITUDE_FLOOR or itself NaN."""
+    return np.where(np.abs(eps) >= AMPLITUDE_FLOOR, tau, np.nan)
+
+
+def _response(delta: ArrayLike, params: SystemParams, alpha: float):
+    """The one evaluation of the response: eps_T and both exact delays.
+
+    eps_T = (2k*num)/den; the delays are the quotient-rule log-derivatives.
+    Where |den| < DENOMINATOR_FLOOR the point is outside the physical
+    domain: eps_T and both delays are NaN there, and the returned mask
+    marks it so a scalar entry point can refuse it instead.
+    """
+    num, dnum, den, dden = _pieces(delta, params, alpha)
+    degenerate = np.abs(den) < DENOMINATOR_FLOOR
+    k2 = 2.0 * params.cavity_decay
+    rnum = k2 * num - den  # eps_r = rnum / den
+    drnum = k2 * dnum - dden
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(den) < DENOMINATOR_FLOOR, np.nan + 0j, num / den)
+        eps_t = np.where(degenerate, complex(np.nan, np.nan), k2 * num / den)
+        tau_t = np.imag(dnum / num - dden / den)
+        tau_r = np.imag(drnum / rnum - dden / den)
+    return eps_t, _mask_floor(tau_t, eps_t), _mask_floor(tau_r, eps_t - 1.0), degenerate
 
 
 def transmitted_amplitude(
     delta: ArrayLike, params: SystemParams, steady: SteadyState
 ) -> complex | np.ndarray:
-    """eps_T = 2*kappa*c_plus."""
-    return 2.0 * params.cavity_decay * c_plus(delta, params, steady)
+    """eps_T at scalar or array detunings.
 
-
-def _phase(z: complex) -> float:
-    if z == 0:
-        return math.nan
-    return math.atan2(z.imag, z.real)
-
-
-def probe_response(
-    delta: float, params: SystemParams, steady: SteadyState
-) -> ProbeResponse:
-    """Full complex response at one detuning.
-
-    Phases are principal-value arguments in (-pi, pi]; the phase of an
-    exactly zero amplitude is NaN (undefined), which happens for the
-    reflected port at the empty-cavity resonance.
+    An array gets NaN at a degenerate denominator; a scalar raises
+    DegenerateDenominatorError there.
     """
-    cp = c_plus(delta, params, steady)
-    eps_t = 2.0 * params.cavity_decay * cp
-    eps_r = eps_t - 1.0
-    return ProbeResponse(
-        delta=float(delta),
-        c_plus=cp,
-        eps_t=eps_t,
-        eps_r=eps_r,
-        phase_t=_phase(eps_t),
-        phase_r=_phase(eps_r),
-    )
+    eps_t, _, _, degenerate = _response(delta, params, steady.alpha)
+    if np.ndim(delta) > 0:
+        return eps_t
+    if degenerate:
+        raise DegenerateDenominatorError(
+            f"response denominator below {DENOMINATOR_FLOOR} at delta={float(delta)!r}"
+        )
+    return complex(eps_t)
 
 
-def _mask_floor(tau: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    return np.where(amp < AMPLITUDE_FLOOR, np.nan, tau)
-
-
-def _analytic(delta: ArrayLike, params: SystemParams, alpha: float):
-    """eps_T and the exact log-derivative delays (quotient rule), from one evaluation."""
-    num, dnum, den, dden = _pieces(delta, params, alpha)
-    k2 = 2.0 * params.cavity_decay
-    rnum = k2 * num - den  # eps_r = rnum / den
-    drnum = k2 * dnum - dden
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eps_t = k2 * num / den
-        tau_t = np.imag(dnum / num - dden / den)
-        tau_r = np.imag(drnum / rnum - dden / den)
-        amp_r = np.abs(rnum / den)
-    return eps_t, _mask_floor(tau_t, np.abs(eps_t)), _mask_floor(tau_r, amp_r)
+def c_plus(
+    delta: ArrayLike, params: SystemParams, steady: SteadyState
+) -> complex | np.ndarray:
+    """Sideband amplitude per unit probe drive, eps_T/(2*kappa). Accepts scalars or arrays."""
+    return transmitted_amplitude(delta, params, steady) / (2.0 * params.cavity_decay)
 
 
 def _taus_fd(delta: ArrayLike, params: SystemParams, alpha: float, step: float):
     """Central-difference delays with one Richardson halving (O(step^4) error)."""
 
     def eps_t(d):
-        num, _, den, _ = _pieces(d, params, alpha)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 2.0 * params.cavity_decay * num / den
+        return _response(d, params, alpha)[0]
 
     d = np.asarray(delta, dtype=float)
     coarse = (eps_t(d + step) - eps_t(d - step)) / (2.0 * step)
@@ -214,20 +177,15 @@ def _taus_fd(delta: ArrayLike, params: SystemParams, alpha: float, step: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         tau_t = np.imag(der / et)
         tau_r = np.imag(der / (et - 1.0))
-    return _mask_floor(tau_t, np.abs(et)), _mask_floor(tau_r, np.abs(et - 1.0))
+    return _mask_floor(tau_t, et), _mask_floor(tau_r, et - 1.0)
 
 
 def group_delay_analytic(
     delta: float, params: SystemParams, steady: SteadyState
 ) -> DelayReport:
     """Group delay of both ports from the exact derivative of the response."""
-    _, tau_t, tau_r = _analytic(delta, params, steady.alpha)
-    return DelayReport(
-        tau_t=float(tau_t),
-        tau_r=float(tau_r),
-        method=METHOD_ANALYTIC,
-        fd_step=math.nan,
-    )
+    _, tau_t, tau_r, _ = _response(delta, params, steady.alpha)
+    return DelayReport(tau_t=float(tau_t), tau_r=float(tau_r))
 
 
 def group_delay_fd(
@@ -246,17 +204,7 @@ def group_delay_fd(
     if not (step > 0):
         raise ParameterError(f"finite-difference step must be positive, got {step!r}")
     tau_t, tau_r = _taus_fd(delta, params, steady.alpha, step)
-    return DelayReport(
-        tau_t=float(tau_t),
-        tau_r=float(tau_r),
-        method=METHOD_FINITE_DIFFERENCE,
-        fd_step=step,
-    )
-
-
-def default_delta_grid(params: SystemParams, n: int = 2001) -> np.ndarray:
-    """Uniform grid over delta/mirror_freq in [0.5, 1.5], matching the figure range."""
-    return np.linspace(0.5 * params.mirror_freq, 1.5 * params.mirror_freq, n)
+    return DelayReport(tau_t=float(tau_t), tau_r=float(tau_r))
 
 
 def spectrum(
@@ -276,7 +224,7 @@ def spectrum(
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ParameterError("delta grid must be strictly increasing")
 
-    eps_t, tau_t, tau_r = _analytic(grid, params, steady.alpha)
+    eps_t, tau_t, tau_r, _ = _response(grid, params, steady.alpha)
     return SpectrumTable(
         delta=grid,
         eps_t=eps_t,
@@ -306,6 +254,8 @@ def power_sweep(
     The steady state is re-solved for every power.  Powers must be
     non-negative and sorted ascending; undefined delays propagate as NaN.
     """
+    if not math.isfinite(delta):
+        raise ParameterError(f"probe detuning must be finite, got {delta!r}")
     values = [float(p) for p in powers]
     if not values:
         raise ParameterError("power sweep needs at least one power")
@@ -321,11 +271,3 @@ def power_sweep(
         out.append(PowerPoint(p, report.tau_t, report.tau_r, eit_width(params, steady)))
     return out
 
-
-def unwrap_phase(phases: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Stitch 2*pi jumps of principal-value phases sampled on a monotone grid.
-
-    The core reports principal values only; this post-processing step
-    recovers a continuous phase curve for plotting.
-    """
-    return np.unwrap(np.asarray(phases, dtype=float))

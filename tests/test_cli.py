@@ -71,7 +71,8 @@ def test_csv_floats_roundtrip(tmp_path):
     assert run("spectrum", "--grid-n", "11", "--out", str(out)) == 0
     params, drive = ce.reference_defaults()
     st = ce.solve_steady(params, ce.derive(params, drive))
-    table = ce.spectrum(ce.default_delta_grid(params, 11), params, st)
+    grid = np.linspace(0.5 * params.mirror_freq, 1.5 * params.mirror_freq, 11)
+    table = ce.spectrum(grid, params, st)
     _, rows = read_csv(out)
     for i, row in enumerate(rows):
         assert row[0] == table.delta[i]  # 17 significant digits: lossless
@@ -186,6 +187,17 @@ def test_dynamics_rejects_non_finite_inputs(tmp_path, capsys, flags):
     assert run("dynamics", *flags, "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["dynamics", "delay-sweep", "width-sweep"])
+def test_non_finite_detuning_rejected(tmp_path, capsys, command, value):
+    out = tmp_path / "x.csv"
+    assert run(command, "--delta-over-omega-m", value, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: probe detuning must be finite")
     assert err.count("\n") == 1
     assert not out.exists()
 

@@ -5,25 +5,20 @@ import numpy as np
 import pytest
 
 import cavity_eit as ce
+from cavity_eit.response import FD_STEP_FRACTION
 
 from conftest import steady_at
 
 
-def test_methods_are_labelled(ref, steady_5uw):
+def test_custom_step_recorded(ref, steady_5uw):
+    # the default step is FD_STEP_FRACTION of the mirror frequency, and an
+    # explicit step is the one used
     params, _ = ref
     om = params.mirror_freq
-    an = ce.group_delay_analytic(om, params, steady_5uw)
-    fd = ce.group_delay_fd(om, params, steady_5uw)
-    assert an.method == "analytic"
-    assert math.isnan(an.fd_step)
-    assert fd.method == "finite_difference"
-    assert fd.fd_step == pytest.approx(1e-6 * om)
-
-
-def test_custom_step_recorded(ref, steady_5uw):
-    params, _ = ref
-    fd = ce.group_delay_fd(params.mirror_freq, params, steady_5uw, step=2.5)
-    assert fd.fd_step == 2.5
+    default = ce.group_delay_fd(om, params, steady_5uw)
+    assert FD_STEP_FRACTION == 1e-6
+    assert default == ce.group_delay_fd(om, params, steady_5uw, step=FD_STEP_FRACTION * om)
+    assert default != ce.group_delay_fd(om, params, steady_5uw, step=2.5)
     with pytest.raises(ce.ParameterError):
         ce.group_delay_fd(params.mirror_freq, params, steady_5uw, step=0.0)
 
@@ -94,14 +89,14 @@ def test_reflected_advance_exists_off_resonance(ref):
     center = ce.group_delay_analytic(om, params, st)
     wing = ce.group_delay_analytic(om + 30 * gamma, params, st)
     assert center.tau_t > 10 * abs(wing.tau_t) > 0
-    strong = ce.spectrum(ce.default_delta_grid(params), params, st, power=5e-6)
+    strong = ce.spectrum(np.linspace(0.5 * om, 1.5 * om, 2001), params, st)
     assert np.nanmin(strong.tau_r) > 0
 
     weak = steady_at(params, 1e-10)
     gamma_weak = ce.eit_width(params, weak)
     assert ce.group_delay_analytic(om, params, weak).tau_r > 0
     grid = om * (1.0 + np.linspace(-1e-3, 1e-3, 2001))
-    tau_r = ce.spectrum(grid, params, weak, power=1e-10).tau_r
+    tau_r = ce.spectrum(grid, params, weak).tau_r
     i = int(np.nanargmin(tau_r))
     d = float(grid[i])
     assert tau_r[i] < 0

@@ -2,10 +2,11 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 import cavity_eit as ce
-from cavity_eit.params import C_LIGHT, HBAR
+from cavity_eit.params import C_LIGHT, HBAR, _param_dict
 
 
 def test_reference_values():
@@ -170,6 +171,30 @@ def test_load_from_file(tmp_path):
     params, drive = ce.load_params(path)
     assert drive.pump_power == 1e-6
     assert params.mirror_freq == 2.0 * math.pi * 100e3
+
+
+def test_param_dict_round_trip():
+    # the flat document a sidecar records reloads to the same parameters,
+    # directly and through JSON, over random valid parameter sets
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        freq = 10.0 ** rng.uniform(3.0, 8.0)
+        params = ce.SystemParams(
+            cavity_length=10.0 ** rng.uniform(-4.0, 0.0),
+            wavelength=10.0 ** rng.uniform(-7.0, -5.0),
+            mirror_mass=10.0 ** rng.uniform(-18.0, -6.0),
+            mirror_freq=freq,
+            mirror_damping=freq * 10.0 ** rng.uniform(-9.0, -1.0),
+            cavity_decay=10.0 ** rng.uniform(3.0, 9.0),
+            effective_detuning=freq * rng.uniform(-2.0, 2.0),
+        )
+        drive = ce.DriveParams(
+            pump_power=float(rng.choice([0.0, 10.0 ** rng.uniform(-12.0, -2.0)])),
+            probe_amplitude_scale=10.0 ** rng.uniform(-3.0, 3.0),
+        )
+        doc = _param_dict(params, drive)
+        assert ce.load_params(doc) == (params, drive)
+        assert ce.load_params(json.loads(json.dumps(doc))) == (params, drive)
 
 
 def test_loaded_params_still_validated():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import cavity_eit as ce
+from cavity_eit.cli import emit_figure_bundle
 from cavity_eit.params import C_LIGHT, HBAR
-from cavity_eit.response import _phase
 
 from conftest import steady_at
 
@@ -80,46 +80,95 @@ def test_resonance_transmission_5uw(ref, steady_5uw):
 
 
 def test_probe_response_fields(ref, steady_5uw):
+    # a one-point spectrum and the scalar amplitude are the same response
     params, _ = ref
     d = 1.02 * params.mirror_freq
-    r = ce.probe_response(d, params, steady_5uw)
-    assert r.eps_r == r.eps_t - 1.0
-    assert r.eps_t == 2.0 * params.cavity_decay * r.c_plus
-    assert r.phase_t == math.atan2(r.eps_t.imag, r.eps_t.real)
-    assert r.phase_r == math.atan2(r.eps_r.imag, r.eps_r.real)
-    assert -math.pi < r.phase_t <= math.pi
+    table = ce.spectrum([d], params, steady_5uw)
+    eps_t = ce.transmitted_amplitude(d, params, steady_5uw)
+    assert table.eps_t[0] == pytest.approx(eps_t, rel=1e-15)
+    assert eps_t == pytest.approx(
+        2.0 * params.cavity_decay * ce.c_plus(d, params, steady_5uw), rel=1e-15
+    )
+    for et, t, r, phase in (
+        (eps_t, abs(eps_t) ** 2, abs(eps_t - 1.0) ** 2, math.atan2(eps_t.imag, eps_t.real)),
+        (table.eps_t[0], table.transmission[0], table.reflection[0], table.phase_t[0]),
+    ):
+        assert t == abs(et) ** 2
+        assert r == abs(et - 1.0) ** 2
+        assert phase == math.atan2(et.imag, et.real)
+        assert -math.pi < phase <= math.pi
 
 
 def test_empty_resonance_has_no_reflection(ref):
     params, _ = ref
-    r = ce.probe_response(params.effective_detuning, params, empty(params))
-    assert abs(r.eps_r) < 1e-12
-    assert abs(r.eps_r) ** 2 < 1e-12
-    assert r.phase_t == pytest.approx(0.0, abs=1e-12)  # real positive amplitude
+    d = params.effective_detuning
+    eps_t = ce.transmitted_amplitude(d, params, empty(params))
+    table = ce.spectrum([d], params, empty(params))
+    for et, r, phase in (
+        (eps_t, abs(eps_t - 1.0) ** 2, math.atan2(eps_t.imag, eps_t.real)),
+        (table.eps_t[0], table.reflection[0], table.phase_t[0]),
+    ):
+        assert abs(et - 1.0) < 1e-12
+        assert r < 1e-12
+        assert phase == pytest.approx(0.0, abs=1e-12)  # real positive amplitude
 
 
-def test_phase_of_exact_zero_is_nan():
-    assert math.isnan(_phase(0j))
+def test_phase_of_exact_zero_is_nan(ref):
+    # at delta = -Delta = -omega_m the mechanical factor is purely imaginary
+    # and the cavity factor real, so this interaction strength zeroes the
+    # numerator exactly: eps_T = 0, whose phase is undefined
+    params, _ = ref
+    d = -params.effective_detuning
+    assert d * d == params.mirror_freq**2
+    alpha = params.mirror_mass * (params.mirror_damping * d) * (2 * params.cavity_decay)
+    table = ce.spectrum([d, 0.0], params, dataclasses.replace(empty(params), alpha=alpha))
+    assert table.eps_t[0] == 0
+    assert math.isnan(table.phase_t[0])
+    assert np.isfinite(table.phase_t[1])
 
 
-def test_degenerate_denominator_detected(ref):
+def degenerate_at_zero(params):
     # at zero detuning both response factors are real, so an interaction
     # strength of -chi*w/(2*Delta) cancels the denominator exactly
-    params, _ = ref
     m, om = params.mirror_mass, params.mirror_freq
     chi_w = -m * om**2 * (4 * params.cavity_decay**2 + params.effective_detuning**2)
-    crafted = ce.SteadyState(
+    return ce.SteadyState(
         cavity_amp=0j,
         photon_number=0.0,
         mirror_displacement=0.0,
         alpha=-chi_w / (2 * params.effective_detuning),
     )
+
+
+def test_degenerate_denominator_detected(ref):
+    params, _ = ref
+    crafted = degenerate_at_zero(params)
     with pytest.raises(ce.DegenerateDenominatorError, match="denominator"):
         ce.c_plus(0.0, params, crafted)
     # the array path records a gap instead of aborting the sweep
     vals = ce.c_plus(np.array([0.0, params.mirror_freq]), params, crafted)
     assert np.isnan(vals[0])
     assert np.isfinite(vals[1])
+
+
+def test_degenerate_denominator_is_one_rule(ref):
+    # every path through the response treats the degenerate point alike:
+    # grids, delays and sweeps get NaN (never +-inf), scalar amplitudes raise
+    params, _ = ref
+    crafted = degenerate_at_zero(params)
+    om = params.mirror_freq
+    table = ce.spectrum([0.0, om], params, crafted)
+    for column in (table.eps_t.real, table.eps_t.imag, table.transmission,
+                   table.reflection, table.phase_t, table.tau_t, table.tau_r):
+        assert np.isnan(column[0])
+        assert np.isfinite(column[1])
+    for report in (ce.group_delay_analytic(0.0, params, crafted),
+                   ce.group_delay_fd(0.0, params, crafted)):
+        assert math.isnan(report.tau_t) and math.isnan(report.tau_r)
+    for fn in (ce.c_plus, ce.transmitted_amplitude):
+        assert np.isnan(fn(np.array([0.0, om]), params, crafted)[0])
+        with pytest.raises(ce.DegenerateDenominatorError, match="denominator"):
+            fn(0.0, params, crafted)
 
 
 def test_response_independent_of_probe_scale(ref):
@@ -130,8 +179,11 @@ def test_response_independent_of_probe_scale(ref):
     st_b = ce.solve_steady(
         params, ce.derive(params, ce.DriveParams(5e-6, probe_amplitude_scale=7.0))
     )
-    d = 0.97 * params.mirror_freq
-    assert ce.probe_response(d, params, st_a) == ce.probe_response(d, params, st_b)
+    grid = np.linspace(0.9, 1.1, 21) * params.mirror_freq
+    a = ce.spectrum(grid, params, st_a)
+    b = ce.spectrum(grid, params, st_b)
+    for field in ("eps_t", "transmission", "reflection", "phase_t", "tau_t", "tau_r"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 def test_conjugation_symmetry(ref, steady_5uw):
@@ -170,8 +222,8 @@ def test_vectorized_matches_scalar(ref, steady_5uw):
 def test_empty_spectrum_is_lorentzian(ref):
     params, _ = ref
     st = empty(params)
-    grid = ce.default_delta_grid(params, n=401)
-    table = ce.spectrum(grid, params, st, power=0.0)
+    grid = np.linspace(0.5 * params.mirror_freq, 1.5 * params.mirror_freq, 401)
+    table = ce.spectrum(grid, params, st)
     k2 = 2 * params.cavity_decay
     x = params.effective_detuning - grid
     expected = k2**2 / (k2**2 + x**2)
@@ -187,7 +239,7 @@ def test_spectrum_dip_at_resonance_5uw(ref, steady_5uw):
     om = params.mirror_freq
     gamma = ce.eit_width(params, steady_5uw)
     grid = np.linspace(0.5 * om, 1.5 * om, 2001)
-    table = ce.spectrum(grid, params, steady_5uw, power=5e-6)
+    table = ce.spectrum(grid, params, steady_5uw)
     i_res = np.argmin(np.abs(grid - om))
     assert table.transmission[i_res] < 0.02  # deep dip
     # the feature is narrow on the cavity scale: transmission is restored a
@@ -203,8 +255,8 @@ def test_quadrature_zero_crossings_at_resonance(ref, steady_5uw):
     # of the mirror frequency, while the imaginary quadrature crosses about
     # 0.005 mirror frequencies below it
     params, _ = ref
-    grid = ce.default_delta_grid(params)
-    table = ce.spectrum(grid, params, steady_5uw, power=5e-6)
+    grid = np.linspace(0.5 * params.mirror_freq, 1.5 * params.mirror_freq, 2001)
+    table = ce.spectrum(grid, params, steady_5uw)
     om = params.mirror_freq
     step = grid[1] - grid[0]
     near = np.abs(grid - om) <= step
@@ -217,7 +269,7 @@ def test_quadrature_zero_crossings_at_resonance(ref, steady_5uw):
 
 def test_spectrum_recomputable_from_complex(ref, steady_5uw):
     params, _ = ref
-    table = ce.spectrum(ce.default_delta_grid(params, 301), params, steady_5uw, 5e-6)
+    table = ce.spectrum(np.linspace(0.5 * params.mirror_freq, 1.5 * params.mirror_freq, 301), params, steady_5uw)
     assert np.allclose(table.transmission, np.abs(table.eps_t) ** 2, rtol=1e-12)
     assert np.allclose(table.reflection, np.abs(table.eps_t - 1) ** 2, rtol=1e-12)
     assert np.all(np.diff(table.delta) > 0)
@@ -229,7 +281,7 @@ def test_spectrum_gap_at_undefined_reflection_delay(ref):
     params, _ = ref
     om = params.effective_detuning
     grid = np.linspace(0.99 * om, 1.01 * om, 201)  # includes om exactly
-    table = ce.spectrum(grid, params, empty(params), power=0.0)
+    table = ce.spectrum(grid, params, empty(params))
     i = np.argmin(np.abs(grid - om))
     assert math.isnan(table.tau_r[i])
     assert np.isfinite(table.tau_t).all()
@@ -315,9 +367,13 @@ def test_power_sweep_zero_power_gap(ref):
 # --- phase unwrapping -----------------------------------------------------------
 
 
-def test_unwrap_phase_stitches_jumps():
-    t = np.linspace(0.0, 4.0 * math.pi, 200)
-    wrapped = np.angle(np.exp(1j * t))
-    stitched = ce.unwrap_phase(wrapped)
-    assert np.allclose(stitched, t, atol=1e-12)
-    assert np.abs(np.diff(stitched)).max() < math.pi / 2
+def test_unwrap_phase_stitches_jumps(tmp_path):
+    # fig3's phase-unwrap step keeps each principal phase up to a multiple
+    # of 2*pi and leaves no jump above pi, where the principal phase has one
+    emit_figure_bundle("fig3", tmp_path)
+    phase = np.loadtxt(tmp_path / "fig3_spectrum_1uw.csv", delimiter=",", skiprows=1, usecols=6)
+    stitched = np.loadtxt(tmp_path / "fig3_phase_unwrapped.csv", delimiter=",", skiprows=1, usecols=2)
+    turns = (stitched - phase) / (2.0 * math.pi)
+    assert np.allclose(turns, np.round(turns), atol=1e-12)
+    assert np.abs(np.diff(phase)).max() > math.pi
+    assert np.abs(np.diff(stitched)).max() < math.pi
