@@ -42,7 +42,6 @@ from .dynamics import (
     build_matrix,
     integrate,
     reconstruct_displacement,
-    steady_response,
 )
 
 __version__ = "0.1.0"
@@ -78,6 +77,5 @@ __all__ = [
     "reference_defaults",
     "solve_steady",
     "spectrum",
-    "steady_response",
     "transmitted_amplitude",
 ]

@@ -229,9 +229,7 @@ def _cmd_dynamics(args) -> dict:
     dt = args.dt if args.dt is not None else min(0.02 / matrix.spectral_radius, width / 64.0)
 
     traj = integrate(matrix, pulse, span, dt, method=args.method, samples=args.samples)
-    traj = reconstruct_displacement(
-        traj, st, delta, amplitude_scale=drive.probe_amplitude_scale
-    )
+    traj = reconstruct_displacement(traj, st, delta)
     q, c = traj.q_plus, traj.c_plus
     _emit(_csv(DYNAMICS_HEADER, traj.times, q.real, q.imag, c.real, c.imag, traj.q_total), args.out)
     _note(

@@ -18,17 +18,22 @@ sign for which the constant-forcing fixed point V = M^{-1} F reproduces
 the frequency-domain response exactly, which this package treats as a
 hard consistency requirement between its two halves.
 
-Two integrators are provided and serve as independent oracles for each
-other: classical fixed-step RK4, and an exponential integrator that
-diagonalizes M once and propagates each step exactly for a forcing that
-is interpolated linearly across the step (exact for constant forcing at
-any step size).  In the eigenbasis the exponential step is a scalar
-linear recurrence per mode, which is solved in blocks by a prefix scan
-instead of a step-by-step loop.
+Two step rules are provided: classical fixed-step RK4, and an exponential
+step that is exact for a forcing interpolated linearly across the step
+(so for constant forcing at any step size).  For constant M each is the
+linear recurrence
+
+    V_{n+1} = P V_n + sum_j W_j f(t_n + j*h/q)
+
+(RK4: q = 2, P and W_j polynomials in Z = -h*M; exponential: q = 1,
+P = e^Z, phi-function weights W_j), and one engine solves it in blocks by
+a prefix scan instead of a step-by-step loop.  Sharing that engine, the
+two methods are not independent oracles for each other; the per-step
+loops in the tests are.
 
 The membrane displacement is reconstructed as
 
-    q(t) = q0 + 2 * Re[ q_plus(t) * scale * exp(-i*d*t) ]
+    q(t) = q0 + 2 * Re[ q_plus(t) * exp(-i*d*t) ]
 
 which is real by construction and reduces to q0 + 2*q_plus*cos(d*t) for
 real q_plus.
@@ -58,11 +63,11 @@ MAX_STEP_RADIUS = 0.1
 METHOD_RK4 = "rk4"
 METHOD_EXPM = "expm"
 
-# Steps per block of the exponential integrator.  Its work arrays, the
-# sampled forcing among them, hold one block, so memory does not grow with
-# the step count; a block this long makes the per-block numpy calls cheap
-# next to the per-step forcing calls.
-_EXPM_BLOCK = 4096
+# Steps per block of the time-stepping scan.  Its work arrays, the sampled
+# forcing among them, hold one block, so memory does not grow with the step
+# count; a block this long makes the per-block numpy calls cheap next to the
+# per-step forcing calls.
+_BLOCK = 4096
 
 
 class InstabilityError(ArithmeticError):
@@ -205,12 +210,6 @@ def build_matrix(
     )
 
 
-def steady_response(matrix: SystemMatrix, eps_p: complex = 1.0) -> np.ndarray:
-    """Fixed point M^{-1} F under constant drive: V with dV/dt = 0."""
-    force = np.array([0.0, eps_p], dtype=complex)
-    return np.linalg.solve(matrix.as_array(), force)
-
-
 def _as_callable(forcing: Forcing) -> Callable[[float], complex]:
     if isinstance(forcing, PulseSpec):
         return forcing.envelope
@@ -254,56 +253,104 @@ def _phi2(z: complex) -> complex:
     return (np.exp(z) - 1.0 - z) / (z * z)
 
 
-def _expm_trajectory(
-    matrix: SystemMatrix,
+def _dot(row, xs):
+    """row[0]*xs[0] + row[1]*xs[1] + ..., elementwise and added left to right."""
+    acc = row[0] * xs[0]
+    for coef, x in zip(row[1:], xs[1:]):
+        acc += coef * x
+    return acc
+
+
+def _apply(a: np.ndarray, x) -> np.ndarray:
+    """a @ x as a fixed-order sum of float64 products, without BLAS and its machine-chosen order."""
+    return _dot(a.T[:, :, None], x)
+
+
+def _real_form(m: np.ndarray) -> np.ndarray:
+    """The real matrix acting on (Re x0, Im x0, Re x1, Im x1, ...) as the complex m acts on x."""
+    parts = np.stack([np.stack([m.real, -m.imag], -1), np.stack([m.imag, m.real], -1)], 1)
+    return parts.reshape(2 * m.shape[0], 2 * m.shape[1])
+
+
+def _rk4_rule(matrix: SystemMatrix, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 as V' = P V + sum_j W_j f(t_n + j*h/2), j = 0, 1, 2, in real form.
+
+    With Z = -h*M the four stages compose to P = 1 + Z + Z^2/2 + Z^3/6 + Z^4/24
+    and W_j = h/6 * (1 + Z + Z^2/2 + Z^3/4, 4 + 2Z + Z^2/2, 1) e_c.
+    """
+    z = -h * _real_form(matrix.as_array())
+    zk = [np.eye(len(z)), z]
+    while len(zk) < 5:
+        zk.append(_apply(zk[-1], z))
+    p = _dot((1.0, 1.0, 1 / 2, 1 / 6, 1 / 24), zk)
+    # columns 2 and 3 of a real form act on (Re, Im) of the c component, i.e. apply it to e_c
+    w = [h / 6 * _dot(c, zk)[:, 2:] for c in ((1.0, 1.0, 1 / 2, 1 / 4), (4.0, 2.0, 1 / 2), (1.0,))]
+    return p, np.concatenate(w, axis=1)
+
+
+def _expm_rule(matrix: SystemMatrix, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact step for a forcing linear across it, with Z = -h*M, in real form:
+
+        V' = e^Z V + h (phi1 - phi2)(Z) e_c f_n + h phi2(Z) e_c f_{n+1}
+    """
+    lam, vecs = np.linalg.eig(matrix.as_array())
+    inv = np.linalg.inv(vecs)
+
+    def of_z(fn):  # fn(Z) through the eigendecomposition of M
+        return vecs @ np.diag([fn(z) for z in -lam * h]) @ inv
+
+    w = [of_z(lambda z: h * (_phi1(z) - _phi2(z)))[:, 1:], of_z(lambda z: h * _phi2(z))[:, 1:]]
+    return _real_form(of_z(np.exp)), _real_form(np.concatenate(w, axis=1))
+
+
+def _advance(
+    p: np.ndarray,
+    w: np.ndarray,
     f: Callable[[float], complex],
     t0: float,
     h: float,
     n_steps: int,
     stride: int,
 ) -> Trajectory:
-    """Exponential integrator, solved as a recurrence in the eigenbasis of M.
+    """Solve V_{n+1} = P V_n + sum_j W_j f(t0 + (n + j/q) h) from V_0 = 0, j = 0..q.
 
-    With M = S diag(lam) S^-1 and z = -lam*h, y = S^-1 V obeys per step
-
-        y_{n+1} = e^z y_n + S^-1[:, 1] * (h phi1(z) f_n + h phi2(z) (f_{n+1} - f_n)),
-
-    exact for a forcing linear across the step.  Steps are taken in blocks
-    of _EXPM_BLOCK: the block's forcing is sampled, the recurrence is
-    solved from a zero start by a doubling prefix scan, and the state the
-    previous block ended in is added as e^{kz} y_prev.  Only the recorded
-    steps are kept, so memory stays O(block) for any step count.
+    P and the columns W_j come in real form, acting on (Re, Im) pairs, so
+    the solve is float64 multiplies and adds in a fixed order and its bytes
+    do not depend on whether the machine fuses the parts of a complex
+    product.  Steps are taken in blocks of _BLOCK.  A block samples the
+    forcing once per distinct time, forms each step's forcing term, adds
+    the previous block's last state as P V to the first of them, and solves
+    the recurrence by a doubling prefix scan with P, P^2, P^4, ...  Only the
+    recorded steps are kept, so memory stays O(block) for any step count.
     """
-    lam, vecs = np.linalg.eig(matrix.as_array())
-    z = -lam * h
-    col = np.linalg.inv(vecs)[:, 1:]
-    w1 = col * h * np.array([[_phi1(zi)] for zi in z])
-    w2 = col * h * np.array([[_phi2(zi)] for zi in z])
-    powers = np.exp(np.outer(z, np.arange(1, _EXPM_BLOCK + 1)))  # e^{kz}, k = 1..B
+    q = w.shape[1] // 2 - 1
+    pows = [p]
+    while 2 ** len(pows) < _BLOCK:
+        pows.append(_apply(pows[-1], pows[-1]))
 
-    y_prev = np.zeros((2, 1), dtype=complex)
-    f_prev = f(t0)
-    steps, states = [], []
-    for lo in range(0, n_steps, _EXPM_BLOCK):
-        hi = min(lo + _EXPM_BLOCK, n_steps)
-        fs = np.array([f_prev] + [f(t0 + n * h) for n in range(lo + 1, hi + 1)], dtype=complex)
+    last, f_prev, steps, states = np.zeros((len(p), 1)), f(t0), [], []
+    for lo in range(0, n_steps, _BLOCK):
+        n = min(_BLOCK, n_steps - lo)
+        ts = t0 + np.arange(q * lo + 1, q * (lo + n) + 1) / q * h
+        fs = np.array([f_prev, *map(f, ts.tolist())], dtype=complex)
         f_prev = fs[-1]
-        y = w1 * fs[:-1] + w2 * (fs[1:] - fs[:-1])
-        # after the scan and the carry, y[:, i] is the state after step lo + i + 1
-        k = 1
-        while k < hi - lo:
-            y[:, k:] += powers[:, k - 1 : k] * y[:, :-k]
-            k *= 2
-        y += powers[:, : hi - lo] * y_prev
-        y_prev = y[:, -1:]
-        n = np.arange(lo + 1, hi + 1)
-        keep = (n % stride == 0) | (n == n_steps)
-        steps.append(n[keep])
+        # sample j of step i is fs[q*i + j]; its (Re, Im) sit at 2*(q*i + j) + (0, 1)
+        pairs = fs.view(float)
+        y = _apply(w, [pairs[r :: 2 * q][:n] for r in range(w.shape[1])])
+        y[:, :1] += _apply(p, last)
+        # after the carry and the scan, y[:, i] is the state after step lo + i + 1
+        for k, pk in enumerate(pows[: (n - 1).bit_length()]):
+            y[:, 2**k :] += _apply(pk, y[:, : -(2**k)])
+        last = y[:, -1:]
+        step = np.arange(lo + 1, lo + n + 1)
+        keep = (step % stride == 0) | (step == n_steps)
+        steps.append(step[keep])
         states.append(y[:, keep])
 
-    v = np.concatenate((np.zeros((2, 1)), vecs @ np.concatenate(states, axis=1)), axis=1)
+    v = np.concatenate([np.zeros((len(p), 1)), *states], axis=1)
+    q_plus, c_plus = np.ascontiguousarray(v.T).view(complex).T.copy()
     times = np.concatenate(([t0], t0 + np.concatenate(steps) * h))
-    return Trajectory(times=times, q_plus=v[0], c_plus=v[1])
+    return Trajectory(times=times, q_plus=q_plus, c_plus=c_plus)
 
 
 def integrate(
@@ -322,7 +369,7 @@ def integrate(
     maximal admissible dt in the message.  ``method="expm"`` propagates
     each step with the exact matrix exponential and a linear
     interpolation of the forcing across the step, so it has no stability
-    bound and is exact (to roundoff) for constant forcing; it solves the
+    bound and is exact (to roundoff) for constant forcing.  Both solve the
     steps in blocks rather than one at a time.
 
     The output is decimated to at most ``samples`` points regardless of
@@ -354,61 +401,15 @@ def integrate(
     n_steps = max(1, math.ceil((t1 - t0) / dt - 1e-9))
     h = (t1 - t0) / n_steps
     stride = max(1, -(-n_steps // (samples - 1)))  # ceil division
-
-    if method == METHOD_EXPM:
-        return _expm_trajectory(matrix, f, t0, h, n_steps, stride)
-
-    rec_t = [t0]
-    rec_q = [0j]
-    rec_c = [0j]
-    a, b, c, d = matrix.a, matrix.b, matrix.c, matrix.d
-    q = 0j
-    cc = 0j
-    for n in range(n_steps):
-        t = t0 + n * h
-        f0 = f(t)
-        fh = f(t + 0.5 * h)
-        f1 = f(t + h)
-        # k = -M V + F, unrolled for the 2x2 system
-        k1q = -(a * q + b * cc)
-        k1c = -(c * q + d * cc) + f0
-        q2, c2 = q + 0.5 * h * k1q, cc + 0.5 * h * k1c
-        k2q = -(a * q2 + b * c2)
-        k2c = -(c * q2 + d * c2) + fh
-        q3, c3 = q + 0.5 * h * k2q, cc + 0.5 * h * k2c
-        k3q = -(a * q3 + b * c3)
-        k3c = -(c * q3 + d * c3) + fh
-        q4, c4 = q + h * k3q, cc + h * k3c
-        k4q = -(a * q4 + b * c4)
-        k4c = -(c * q4 + d * c4) + f1
-        q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        cc = cc + (h / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        if (n + 1) % stride == 0 or n + 1 == n_steps:
-            rec_t.append(t0 + (n + 1) * h)
-            rec_q.append(q)
-            rec_c.append(cc)
-
-    return Trajectory(
-        times=np.array(rec_t, dtype=float),
-        q_plus=np.array(rec_q, dtype=complex),
-        c_plus=np.array(rec_c, dtype=complex),
-    )
+    rule = _rk4_rule if method == METHOD_RK4 else _expm_rule
+    return _advance(*rule(matrix, h), f, t0, h, n_steps, stride)
 
 
-def reconstruct_displacement(
-    traj: Trajectory,
-    steady: SteadyState,
-    delta: float,
-    amplitude_scale: float = 1.0,
-) -> Trajectory:
-    """Fill q_total(t) = q0 + 2*Re[q_plus(t) * scale * exp(-i*delta*t)].
+def reconstruct_displacement(traj: Trajectory, steady: SteadyState, delta: float) -> Trajectory:
+    """Fill q_total(t) = q0 + 2*Re[q_plus(t) * exp(-i*delta*t)].
 
-    ``amplitude_scale`` is the dimensionless probe scale carried by
-    DriveParams; the physical pulse amplitude is already part of the
-    trajectory through the forcing.
+    The probe amplitude is already part of the trajectory through the forcing.
     """
     phase = np.exp(-1j * delta * traj.times)
-    q_total = steady.mirror_displacement + 2.0 * np.real(
-        traj.q_plus * amplitude_scale * phase
-    )
+    q_total = steady.mirror_displacement + 2.0 * np.real(traj.q_plus * phase)
     return replace(traj, q_total=q_total)

@@ -84,22 +84,19 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class DriveParams:
-    """Coupling-laser power and the dimensionless probe scale.
+    """Coupling-laser power.
 
-    probe_amplitude_scale multiplies the probe forcing in time-domain
-    reconstructions only; all linear-response quantities are normalized
-    per unit probe amplitude and must not depend on it.
+    Linear-response quantities are per unit probe amplitude; the probe
+    amplitude of a time-domain run is its pulse's ``amplitude``.
     """
 
     pump_power: float  # W
-    probe_amplitude_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.pump_power >= 0) or not math.isfinite(self.pump_power):
             raise ParameterError(
                 f"pump_power must be non-negative, got {self.pump_power!r}"
             )
-        _require_positive("probe_amplitude_scale", self.probe_amplitude_scale)
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,16 @@ def test_dynamics_csv(tmp_path):
     assert rows[0][5] == pytest.approx(st.mirror_displacement, rel=1e-12)
 
 
+def test_probe_amplitude_scale_key_rejected(tmp_path, capsys):
+    # --pulse-amp is the one probe-amplitude setting; the old key is unknown
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps({"probe_amplitude_scale": 7}))
+    out = tmp_path / "x.csv"
+    assert run("dynamics", "--config", str(cfg), "--out", str(out)) == 1
+    assert "probe_amplitude_scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dynamics_rejects_oversized_step(tmp_path, capsys):
     assert run("dynamics", "--dt", "1.0", "--out", str(tmp_path / "x.csv")) == 2
     assert "dt" in capsys.readouterr().err
@@ -295,35 +305,35 @@ def test_comparison_report_contents(tmp_path):
 # output bytes and must be deliberate.
 BUNDLE_SHA256 = {
     "fig2/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
-    "fig2/fig2_config.json": "cdb18e04bcdf55ab992f382dae1d83d976e6a3f94214800082ca9f2f9e8f2304",
+    "fig2/fig2_config.json": "354c68f2455ec8cbdd9e2f803413ed9287606ba33d5fbf32daafcca450caa137",
     "fig2/fig2_spectrum_5uw.csv": "28e02f850e6b74f746936782126ae4b2d2097414554bfd2aeea6d31a0ceba67c",
     "fig3/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
-    "fig3/fig3_config.json": "d952d32a679561d5e757f4a53dacc6bef8f01872261f820a083ec1063e3cbaee",
+    "fig3/fig3_config.json": "597519fbebb476516ffd3ea65fc2dc2e95ab6cfbd3f2045b1d98d054d16aa2fe",
     "fig3/fig3_phase_unwrapped.csv": "e60132bfb9132af15ef7b58655931c7e5b6f082d7c713b38312eff91e29f4d93",
     "fig3/fig3_spectrum_1uw.csv": "7176aa4283444833995e0c37e06fc584d6f67f43593c38012c05a873eea3b194",
     "fig4/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
-    "fig4/fig4_config.json": "4d2571ee9ed6aad6cbd8e884f05443f8276df0a8ad25450349790709ee5dd74c",
+    "fig4/fig4_config.json": "d54eaff58a890d79e5e1d305a8b5bcce62e213707767b9bcc831f52fce56aa88",
     "fig4/fig4_delay_sweep.csv": "28683cfc7b9f3868c07acb90b34470b1cbfda16c91c71cf91a5ed4a5ee0c228f",
     "fig5/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
-    "fig5/fig5_config.json": "80805f719f9f9b8d8392c1b1b608b55728c099e13bd08f343e782d9bf2b1f497",
+    "fig5/fig5_config.json": "6225e9b1eb061ec3da27720a6534a21ef027449a5535c5a3efe7e04edf9bd9ad",
     "fig5/fig5_delay_sweep.csv": "28683cfc7b9f3868c07acb90b34470b1cbfda16c91c71cf91a5ed4a5ee0c228f",
     "fig6/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
-    "fig6/fig6_config.json": "bad3b11e4ceec5fd90253918975eae2c0283aeb7ec1bb536365fa61c0ea2618c",
+    "fig6/fig6_config.json": "80a5f5b191817c327647714dfe5c4696da572eaf1889f6069cb6b494e08a57eb",
     "fig6/fig6_spectrum_0uw.csv": "857760f4d299b84657fd6295f6226fdc4b69cf41f814eb2f3350a6d0ff0d000b",
     "fig6/fig6_spectrum_5uw.csv": "28e02f850e6b74f746936782126ae4b2d2097414554bfd2aeea6d31a0ceba67c",
     "fig7/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
-    "fig7/fig7_config.json": "1ee8f238e1aa41280e625fef61666ebbf2764152105fa62013519c9b3dee2e26",
+    "fig7/fig7_config.json": "c5cf64da053d0c4778451ad417d859b12528247524199db1721ddf81c268b996",
     "fig7/fig7_spectrum_0uw.csv": "857760f4d299b84657fd6295f6226fdc4b69cf41f814eb2f3350a6d0ff0d000b",
     "fig7/fig7_spectrum_5uw.csv": "28e02f850e6b74f746936782126ae4b2d2097414554bfd2aeea6d31a0ceba67c",
     "fig8/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
-    "fig8/fig8_config.json": "a0cbbbe87e0c166032f277cd752b5c0cf244add5fb3c2fa3d09e6a71555a1341",
+    "fig8/fig8_config.json": "7cb9dbe8669f3c7a67fdd5283e9b1ecd0b86c574c38a58942e2580716839fd01",
     "fig8/fig8_width_sweep.csv": "7a124f7aaecf94f45ae77561464240ef887148e392327be5135cdb46aaff013a",
     "fig9/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
-    "fig9/fig9_config.json": "45decc788e89fc3c6d8687ad092ab25ac9a036645781c04e9b96976d68c46e31",
-    "fig9/fig9_dynamics.csv": "49ec34337f6cc940427ddc581a4d7d491837256459eb08fbaf4073a26d0d7e3d",
+    "fig9/fig9_config.json": "e3151a29ccbf5d6075fe30d6d3db0d464e460d261eeb0a6aab303f06f2938645",
+    "fig9/fig9_dynamics.csv": "0f00ffca94ba39662f9e943df332a1f88d87343732202754052a44f17169f341",
     "fig10/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
-    "fig10/fig10_config.json": "5785479f6c20436307e16e776d6506ebc5aaddca9c75363ff68f49da0e9ac9db",
-    "fig10/fig10_dynamics.csv": "49ec34337f6cc940427ddc581a4d7d491837256459eb08fbaf4073a26d0d7e3d",
+    "fig10/fig10_config.json": "1ab4e809c8dbd4d815e91ea784f206ef4e4564406b05471e89db6221b1eaf8f0",
+    "fig10/fig10_dynamics.csv": "0f00ffca94ba39662f9e943df332a1f88d87343732202754052a44f17169f341",
 }
 
 

@@ -69,11 +69,27 @@ def test_instability_detected_at_high_power(ref):
         ce.build_matrix(params.mirror_freq, params, der, st)
 
 
-def test_steady_response_solves_system(matrix_5uw):
-    _, _, M = matrix_5uw
-    v = ce.steady_response(M, eps_p=2.0 - 1.0j)
-    residual = M.as_array() @ v - np.array([0.0, 2.0 - 1.0j])
-    assert np.abs(residual).max() < 1e-12 * np.abs(v).max() * M.spectral_radius
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_zero_pump_slowest_rate_is_half_mirror_damping(ref):
+    # the mechanical amplitude decays at gamma_m/2 when nothing couples to it
+    params, _ = ref
+    der = ce.derive(params, ce.DriveParams(pump_power=0.0))
+    M = ce.build_matrix(params.mirror_freq, params, der, steady_at(params, 0.0))
+    assert M.slowest_rate == pytest.approx(params.mirror_damping / 2, rel=1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_transfer_function_delay_is_frequency_domain_delay(ref):
+    # a probe at delta + w is the envelope e^{-iwt}: V = (M - iw)^{-1} F, so the
+    # time-domain group delay is d arg c_plus / dw = Re[(M^-2)_cc / (M^-1)_cc]
+    params, _ = ref
+    der = ce.derive(params, ce.DriveParams(pump_power=1e-6))
+    st = steady_at(params, 1e-6)
+    om = params.mirror_freq
+    arr = ce.build_matrix(om, params, der, st).as_array()
+    v = np.linalg.solve(arr, [0.0, 1.0])
+    tau = (np.linalg.solve(arr, v)[1] / v[1]).real
+    assert tau == pytest.approx(ce.group_delay_analytic(om, params, st).tau_t, rel=1e-6)
 
 
 # --- pulse envelopes ----------------------------------------------------------
@@ -152,7 +168,7 @@ def test_quiet_start_enforced(matrix_5uw):
 
 def test_constant_forcing_relaxes_to_fixed_point(matrix_5uw):
     _, _, M = matrix_5uw
-    target = ce.steady_response(M, 1.0)
+    target = np.linalg.solve(M.as_array(), [0.0, 1.0])
     pulse = ce.PulseSpec("constant", 1.0, 1.0)
     t_end = 12.0 / M.slowest_rate
     dt = 0.05 / M.spectral_radius
@@ -163,7 +179,7 @@ def test_constant_forcing_relaxes_to_fixed_point(matrix_5uw):
 
 def test_expm_exact_for_constant_forcing(matrix_5uw):
     _, _, M = matrix_5uw
-    target = ce.steady_response(M, 1.0)
+    target = np.linalg.solve(M.as_array(), [0.0, 1.0])
     pulse = ce.PulseSpec("constant", 1.0, 1.0)
     t_end = 45.0 / M.slowest_rate
     traj = ce.integrate(M, pulse, (0.0, t_end), t_end / 500, method=METHOD_EXPM, samples=8)
@@ -276,7 +292,7 @@ def test_integrate_validation(matrix_5uw):
                 ce.integrate(M, pulse, (0.0, 1e-4), dt, method=method)
 
 
-# --- exponential integrator against its step-by-step form --------------------
+# --- the blocked solve against the step-by-step integrators -------------------
 
 
 def _expm_propagators(matrix, h):
@@ -324,10 +340,58 @@ def loop_expm(matrix, forcing, t_span, dt, samples):
     )
 
 
-def assert_matches_loop(M, forcing, span, dt, samples):
-    got = ce.integrate(M, forcing, span, dt, method=METHOD_EXPM, samples=samples,
+def loop_rk4(matrix, forcing, t_span, dt, samples):
+    """Classical RK4 as a per-step loop: the oracle of the blocked solve."""
+    f = dynamics._as_callable(forcing)
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    n_steps = max(1, math.ceil((t1 - t0) / dt - 1e-9))
+    h = (t1 - t0) / n_steps
+    stride = max(1, -(-n_steps // (samples - 1)))
+
+    rec_t = [t0]
+    rec_q = [0j]
+    rec_c = [0j]
+    a, b, c, d = matrix.a, matrix.b, matrix.c, matrix.d
+    q = 0j
+    cc = 0j
+    for n in range(n_steps):
+        t = t0 + n * h
+        f0 = f(t)
+        fh = f(t + 0.5 * h)
+        f1 = f(t + h)
+        # k = -M V + F, unrolled for the 2x2 system
+        k1q = -(a * q + b * cc)
+        k1c = -(c * q + d * cc) + f0
+        q2, c2 = q + 0.5 * h * k1q, cc + 0.5 * h * k1c
+        k2q = -(a * q2 + b * c2)
+        k2c = -(c * q2 + d * c2) + fh
+        q3, c3 = q + 0.5 * h * k2q, cc + 0.5 * h * k2c
+        k3q = -(a * q3 + b * c3)
+        k3c = -(c * q3 + d * c3) + fh
+        q4, c4 = q + h * k3q, cc + h * k3c
+        k4q = -(a * q4 + b * c4)
+        k4c = -(c * q4 + d * c4) + f1
+        q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        cc = cc + (h / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+        if (n + 1) % stride == 0 or n + 1 == n_steps:
+            rec_t.append(t0 + (n + 1) * h)
+            rec_q.append(q)
+            rec_c.append(cc)
+
+    return ce.Trajectory(
+        times=np.array(rec_t, dtype=float),
+        q_plus=np.array(rec_q, dtype=complex),
+        c_plus=np.array(rec_c, dtype=complex),
+    )
+
+
+LOOPS = {METHOD_EXPM: loop_expm, METHOD_RK4: loop_rk4}
+
+
+def assert_matches_loop(method, M, forcing, span, dt, samples):
+    got = ce.integrate(M, forcing, span, dt, method=method, samples=samples,
                        require_quiet_start=False)
-    want = loop_expm(M, forcing, span, dt, samples)
+    want = LOOPS[method](M, forcing, span, dt, samples)
     assert np.array_equal(got.times, want.times)
     for key in ("q_plus", "c_plus"):
         a, b = getattr(got, key), getattr(want, key)
@@ -336,52 +400,114 @@ def assert_matches_loop(M, forcing, span, dt, samples):
     return got
 
 
-@pytest.mark.parametrize("shape", PULSE_SHAPES)
-def test_expm_matches_loop_for_each_shape(matrix_5uw, shape):
+def each_shape(method, matrix_5uw, shape):
     params, _, M = matrix_5uw
     w = kick_width(params)
     pulse = ce.PulseSpec(shape, 1.0, w, 25 * w)
     for samples in (257, 4000):  # below and above the 3000 steps
-        assert_matches_loop(M, pulse, (0.0, 60 * w), w / 50, samples)
+        assert_matches_loop(method, M, pulse, (0.0, 60 * w), w / 50, samples)
 
 
-def test_expm_matches_loop_for_callable_forcing(matrix_5uw):
+def callable_forcing(method, matrix_5uw):
     params, _, M = matrix_5uw
     w = kick_width(params)
     pulse = ce.PulseSpec("sech", 1.0, w, 25 * w)
     chirped = lambda t: pulse.envelope(t) * cmath.exp(0.3j * t / w)  # noqa: E731
-    assert_matches_loop(M, chirped, (0.0, 60 * w), w / 50, 300)
+    assert_matches_loop(method, M, chirped, (0.0, 60 * w), w / 50, 300)
 
 
-B = dynamics._EXPM_BLOCK
-
-
-@pytest.mark.parametrize("n_steps", [1, 3, B - 1, B, B + 1, 5 * B + 7])
-def test_expm_matches_loop_across_block_edges(matrix_5uw, n_steps):
-    _, _, M = matrix_5uw
+def across_block_edges(method, M, n_steps):
     dt = 0.05 / M.spectral_radius
     t_end = n_steps * dt
     pulse = ce.PulseSpec("sech", 1.0, t_end / 8, t_end / 2)
     for samples in (2, 7, n_steps + 2):
-        traj = assert_matches_loop(M, pulse, (0.0, t_end), dt, samples)
+        traj = assert_matches_loop(method, M, pulse, (0.0, t_end), dt, samples)
         assert traj.times[-1] == pytest.approx(t_end)
     assert len(traj.times) == n_steps + 1  # every step recorded at the largest samples
 
 
-def test_expm_memory_does_not_grow_with_steps(matrix_5uw):
-    _, _, M = matrix_5uw
+def memory_bound(method, M):
     n_steps = 10**6
     dt = 1e-9
     pulse = ce.PulseSpec("constant", 1.0, 1.0)
     tracemalloc.start()
     try:
-        traj = ce.integrate(M, pulse, (0.0, n_steps * dt), dt, method=METHOD_EXPM, samples=64)
+        traj = ce.integrate(M, pulse, (0.0, n_steps * dt), dt, method=method, samples=64)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(traj.times) == 64
     # one array of the 10^6 forcing samples alone would take 16 MB
     assert peak < 8 * 2**20
+
+
+B = dynamics._BLOCK
+BLOCK_EDGES = [1, 3, B - 1, B, B + 1, 5 * B + 7]
+
+
+@pytest.mark.parametrize("shape", PULSE_SHAPES)
+def test_expm_matches_loop_for_each_shape(matrix_5uw, shape):
+    each_shape(METHOD_EXPM, matrix_5uw, shape)
+
+
+@pytest.mark.parametrize("shape", PULSE_SHAPES)
+def test_rk4_matches_loop_for_each_shape(matrix_5uw, shape):
+    each_shape(METHOD_RK4, matrix_5uw, shape)
+
+
+def test_expm_matches_loop_for_callable_forcing(matrix_5uw):
+    callable_forcing(METHOD_EXPM, matrix_5uw)
+
+
+def test_rk4_matches_loop_for_callable_forcing(matrix_5uw):
+    callable_forcing(METHOD_RK4, matrix_5uw)
+
+
+@pytest.mark.parametrize("n_steps", BLOCK_EDGES)
+def test_expm_matches_loop_across_block_edges(matrix_5uw, n_steps):
+    across_block_edges(METHOD_EXPM, matrix_5uw[2], n_steps)
+
+
+@pytest.mark.parametrize("n_steps", BLOCK_EDGES)
+def test_rk4_matches_loop_across_block_edges(matrix_5uw, n_steps):
+    across_block_edges(METHOD_RK4, matrix_5uw[2], n_steps)
+
+
+@pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
+def test_matches_loop_at_worst_conditioned_eigenbasis(ref, method):
+    # 2.7 uW at delta = omega_m has the worst eigenvector matrix on a scan over
+    # 0-500 uW x 0.5-1.5 omega_m: condition number 2.3e15, about 10 once its
+    # rows are scaled to the q and c units
+    params, _ = ref
+    der = ce.derive(params, ce.DriveParams(pump_power=2.7e-6))
+    M = ce.build_matrix(params.mirror_freq, params, der, steady_at(params, 2.7e-6))
+    across_block_edges(method, M, 2 * B + 3)
+
+
+def test_rk4_path_calls_no_linalg(matrix_5uw, monkeypatch):
+    # RK4 bytes must not depend on the LAPACK build: its step comes from
+    # polynomials in -h*M, not from an eigendecomposition
+    _, _, M = matrix_5uw
+    pulse = ce.PulseSpec("sech", 1.0, 1e-6, 25e-6)
+    want = ce.integrate(M, pulse, (0.0, 60e-6), 1e-8, method=METHOD_RK4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called on the RK4 path")
+
+    for name in ("eig", "eigvals", "inv", "solve", "matrix_power"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    got = ce.integrate(M, pulse, (0.0, 60e-6), 1e-8, method=METHOD_RK4)
+    assert np.array_equal(got.c_plus, want.c_plus)
+    with pytest.raises(AssertionError, match="linalg"):
+        ce.integrate(M, pulse, (0.0, 60e-6), 1e-8, method=METHOD_EXPM)
+
+
+def test_expm_memory_does_not_grow_with_steps(matrix_5uw):
+    memory_bound(METHOD_EXPM, matrix_5uw[2])
+
+
+def test_rk4_memory_does_not_grow_with_steps(matrix_5uw):
+    memory_bound(METHOD_RK4, matrix_5uw[2])
 
 
 # --- displacement reconstruction ----------------------------------------------
@@ -400,8 +526,10 @@ def test_reconstruct_is_real_and_linear_in_scale(matrix_5uw, steady_5uw):
     w = kick_width(params)
     pulse = ce.PulseSpec("sech", 1.0, w, 25 * w)
     traj = ce.integrate(M, pulse, (0.0, 60 * w), 0.02 / M.spectral_radius, samples=512)
-    one = ce.reconstruct_displacement(traj, steady_5uw, M.delta, amplitude_scale=1.0)
-    three = ce.reconstruct_displacement(traj, steady_5uw, M.delta, amplitude_scale=3.0)
+    one = ce.reconstruct_displacement(traj, steady_5uw, M.delta)
+    loud = ce.PulseSpec("sech", 3.0, w, 25 * w)
+    traj = ce.integrate(M, loud, (0.0, 60 * w), 0.02 / M.spectral_radius, samples=512)
+    three = ce.reconstruct_displacement(traj, steady_5uw, M.delta)
     assert one.q_total.dtype == float
     assert np.isfinite(one.q_total).all()
     q0 = steady_5uw.mirror_displacement

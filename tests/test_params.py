@@ -109,8 +109,6 @@ def test_negative_detuning_allowed():
 def test_drive_validation():
     with pytest.raises(ce.ParameterError, match="pump_power"):
         ce.DriveParams(pump_power=-1e-6)
-    with pytest.raises(ce.ParameterError, match="probe_amplitude_scale"):
-        ce.DriveParams(pump_power=1e-6, probe_amplitude_scale=0.0)
 
 
 # --- JSON loading -----------------------------------------------------------
@@ -189,8 +187,7 @@ def test_param_dict_round_trip():
             effective_detuning=freq * rng.uniform(-2.0, 2.0),
         )
         drive = ce.DriveParams(
-            pump_power=float(rng.choice([0.0, 10.0 ** rng.uniform(-12.0, -2.0)])),
-            probe_amplitude_scale=10.0 ** rng.uniform(-3.0, 3.0),
+            pump_power=float(rng.choice([0.0, 10.0 ** rng.uniform(-12.0, -2.0)]))
         )
         doc = _param_dict(params, drive)
         assert ce.load_params(doc) == (params, drive)

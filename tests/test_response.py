@@ -171,21 +171,6 @@ def test_degenerate_denominator_is_one_rule(ref):
             fn(0.0, params, crafted)
 
 
-def test_response_independent_of_probe_scale(ref):
-    params, _ = ref
-    st_a = ce.solve_steady(
-        params, ce.derive(params, ce.DriveParams(5e-6, probe_amplitude_scale=1.0))
-    )
-    st_b = ce.solve_steady(
-        params, ce.derive(params, ce.DriveParams(5e-6, probe_amplitude_scale=7.0))
-    )
-    grid = np.linspace(0.9, 1.1, 21) * params.mirror_freq
-    a = ce.spectrum(grid, params, st_a)
-    b = ce.spectrum(grid, params, st_b)
-    for field in ("eps_t", "transmission", "reflection", "phase_t", "tau_t", "tau_r"):
-        assert np.array_equal(getattr(a, field), getattr(b, field)), field
-
-
 def test_conjugation_symmetry(ref, steady_5uw):
     # flipping (delta, Delta) and the sign of the interaction term conjugates
     # the response; with the interaction on, flipping the frequencies alone
