@@ -46,6 +46,9 @@ from .response import (
     transmitted_amplitude,
 )
 from .dynamics import (
+    METHOD_EXPM,
+    METHOD_RK4,
+    PULSE_SHAPES,
     InstabilityError,
     PulseSpec,
     StepSizeError,
@@ -439,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dynamics", help="pulsed-probe time evolution as CSV")
     common(p)
     p.add_argument("--delta-over-omega-m", type=float, default=1.0)
-    p.add_argument("--pulse-shape", choices=["sech", "gaussian", "rectangle", "constant"], default="sech")
+    p.add_argument("--pulse-shape", choices=PULSE_SHAPES, default="sech")
     p.add_argument("--pulse-width-s", type=float, help="envelope timescale (default: 0.1 mirror periods)")
     p.add_argument("--pulse-center-s", type=float, help="pulse centre (default: 25 widths)")
     p.add_argument("--pulse-amp", type=float, default=1.0, help="peak probe drive in 1/s")
@@ -447,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, help="default: centre + 55 widths")
     p.add_argument("--dt", type=float, help="integration step (default: stability-limited)")
     p.add_argument("--samples", type=int, default=4096, help="max output rows")
-    p.add_argument("--method", choices=["rk4", "expm"], default="rk4")
+    p.add_argument("--method", choices=(METHOD_RK4, METHOD_EXPM), default=METHOD_RK4)
     p.set_defaults(func=_cmd_dynamics)
 
     p = sub.add_parser("figure", help="write the data bundle behind one published figure")

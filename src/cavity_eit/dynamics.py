@@ -27,9 +27,10 @@ linear recurrence
 
 (RK4: q = 2, P and W_j polynomials in Z = -h*M; exponential: q = 1,
 P = e^Z, phi-function weights W_j), and one engine solves it in blocks by
-a prefix scan instead of a step-by-step loop.  Sharing that engine, the
-two methods are not independent oracles for each other; the per-step
-loops in the tests are.
+a prefix scan instead of a step-by-step loop.  Rules and engine are
+fixed-order float64 polynomials in the real form of M, free of BLAS and
+LAPACK.  Sharing them, the methods are no oracles for each other; the
+per-step loops in the tests are.
 
 The membrane displacement is reconstructed as
 
@@ -68,6 +69,14 @@ METHOD_EXPM = "expm"
 # count; a block this long makes the per-block numpy calls cheap next to the
 # per-step forcing calls.
 _BLOCK = 4096
+
+# E_c: the real-form columns that act on (Re, Im) of the probe-driven c
+# component, through which both step rules take the forcing.
+_FORCED = slice(2, 4)
+
+# Taylor coefficients 1/k!, k < 19, of the exponential step: at spectral radius
+# below 1 the terms left out sum to under 1/19! * 20/19 < 9e-18 (unit roundoff 1.1e-16).
+_EXP_TAYLOR = tuple(1 / math.factorial(k) for k in range(19))
 
 
 class InstabilityError(ArithmeticError):
@@ -218,41 +227,6 @@ def _as_callable(forcing: Forcing) -> Callable[[float], complex]:
     raise ParameterError(f"forcing must be a PulseSpec or a callable, got {forcing!r}")
 
 
-def _check_quiet_start(forcing: Forcing, t_start: float) -> None:
-    if not isinstance(forcing, PulseSpec) or forcing.shape == "constant":
-        return
-    earliest = forcing.center - QUIET_START_WIDTHS * forcing.width
-    if t_start > earliest:
-        raise ParameterError(
-            "integration must start at least "
-            f"{QUIET_START_WIDTHS:g} pulse widths before the pulse centre "
-            f"(t_start <= {earliest:.6e} s) so the zero initial state is "
-            "consistent; pass require_quiet_start=False to override"
-        )
-
-
-def _phi1(z: complex) -> complex:
-    """(e^z - 1)/z, series for small |z| to avoid cancellation."""
-    if abs(z) < 0.25:
-        total, term = 1.0 + 0j, 1.0 + 0j
-        for k in range(1, 18):
-            term *= z / (k + 1)
-            total += term
-        return total
-    return (np.exp(z) - 1.0) / z
-
-
-def _phi2(z: complex) -> complex:
-    """(e^z - 1 - z)/z^2, series for small |z|."""
-    if abs(z) < 0.25:
-        total, term = 0.5 + 0j, 0.5 + 0j
-        for k in range(1, 18):
-            term *= z / (k + 2)
-            total += term
-        return total
-    return (np.exp(z) - 1.0 - z) / (z * z)
-
-
 def _dot(row, xs):
     """row[0]*xs[0] + row[1]*xs[1] + ..., elementwise and added left to right."""
     acc = row[0] * xs[0]
@@ -272,35 +246,48 @@ def _real_form(m: np.ndarray) -> np.ndarray:
     return parts.reshape(2 * m.shape[0], 2 * m.shape[1])
 
 
+def _powers(x: np.ndarray, n: int) -> list[np.ndarray]:
+    """[1, x, x^2, ..., x^(n-1)], each power by _apply."""
+    xs = [np.eye(len(x)), x]
+    while len(xs) < n:
+        xs.append(_apply(xs[-1], x))
+    return xs
+
+
 def _rk4_rule(matrix: SystemMatrix, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Classical RK4 as V' = P V + sum_j W_j f(t_n + j*h/2), j = 0, 1, 2, in real form.
 
     With Z = -h*M the four stages compose to P = 1 + Z + Z^2/2 + Z^3/6 + Z^4/24
-    and W_j = h/6 * (1 + Z + Z^2/2 + Z^3/4, 4 + 2Z + Z^2/2, 1) e_c.
+    and W_j = h/6 * (1 + Z + Z^2/2 + Z^3/4, 4 + 2Z + Z^2/2, 1) E_c.
     """
-    z = -h * _real_form(matrix.as_array())
-    zk = [np.eye(len(z)), z]
-    while len(zk) < 5:
-        zk.append(_apply(zk[-1], z))
+    zk = _powers(-h * _real_form(matrix.as_array()), 5)
     p = _dot((1.0, 1.0, 1 / 2, 1 / 6, 1 / 24), zk)
-    # columns 2 and 3 of a real form act on (Re, Im) of the c component, i.e. apply it to e_c
-    w = [h / 6 * _dot(c, zk)[:, 2:] for c in ((1.0, 1.0, 1 / 2, 1 / 4), (4.0, 2.0, 1 / 2), (1.0,))]
+    w = [h / 6 * _dot(c, zk)[:, _FORCED] for c in ((1.0, 1.0, 1 / 2, 1 / 4), (4.0, 2.0, 1 / 2), (1.0,))]
     return p, np.concatenate(w, axis=1)
 
 
 def _expm_rule(matrix: SystemMatrix, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact step for a forcing linear across it, with Z = -h*M, in real form:
 
-        V' = e^Z V + h (phi1 - phi2)(Z) e_c f_n + h phi2(Z) e_c f_{n+1}
+        V' = e^Z V + h (phi1 - phi2)(Z) E_c f_n + h phi2(Z) E_c f_{n+1}
+
+    e^Z, h phi1(Z) E_c and h phi2(Z) E_c are the top block row of exp(A),
+    A = [[Z, h E_c, 0], [0, 0, 1], [0, 0, 0]] (Van Loan 1978), taken as the
+    Taylor polynomial of A/2^s squared s times, where h*rho(M)/2^s < 1: rho,
+    unlike a norm, does not see the scaling between the q and c units.
     """
-    lam, vecs = np.linalg.eig(matrix.as_array())
-    inv = np.linalg.inv(vecs)
-
-    def of_z(fn):  # fn(Z) through the eigendecomposition of M
-        return vecs @ np.diag([fn(z) for z in -lam * h]) @ inv
-
-    w = [of_z(lambda z: h * (_phi1(z) - _phi2(z)))[:, 1:], of_z(lambda z: h * _phi2(z))[:, 1:]]
-    return _real_form(of_z(np.exp)), _real_form(np.concatenate(w, axis=1))
+    z = -h * _real_form(matrix.as_array())
+    n = len(z)
+    a = np.zeros((n + 4, n + 4))
+    a[:n, :n] = z
+    a[:n, n : n + 2] = h * np.eye(n)[:, _FORCED]
+    a[n : n + 2, n + 2 :] = np.eye(2)
+    s = max(0, math.frexp(h * matrix.spectral_radius)[1])
+    e = _dot(_EXP_TAYLOR, _powers(a / 2**s, len(_EXP_TAYLOR)))
+    for _ in range(s):
+        e = _apply(e, e)
+    phi1, phi2 = e[:n, n : n + 2], e[:n, n + 2 :]
+    return e[:n, :n], np.concatenate([phi1 - phi2, phi2], axis=1)
 
 
 def _advance(
@@ -360,7 +347,6 @@ def integrate(
     dt: float,
     method: str = METHOD_RK4,
     samples: int = 4096,
-    require_quiet_start: bool = True,
 ) -> Trajectory:
     """Integrate dV/dt = -M V + F(t) from V(t_start) = 0.
 
@@ -370,7 +356,8 @@ def integrate(
     each step with the exact matrix exponential and a linear
     interpolation of the forcing across the step, so it has no stability
     bound and is exact (to roundoff) for constant forcing.  Both solve the
-    steps in blocks rather than one at a time.
+    steps in blocks rather than one at a time.  A pulse must be quiet at
+    t_start (QUIET_START_WIDTHS widths early); a callable is not checked.
 
     The output is decimated to at most ``samples`` points regardless of
     the integration step; the first and last step are always included.
@@ -386,8 +373,14 @@ def integrate(
         raise ParameterError(f"unknown integration method {method!r}")
     if samples < 2:
         raise ParameterError(f"samples must be >= 2, got {samples}")
-    if require_quiet_start:
-        _check_quiet_start(forcing, t0)
+    if isinstance(forcing, PulseSpec) and forcing.shape != "constant":
+        earliest = forcing.center - QUIET_START_WIDTHS * forcing.width
+        if t0 > earliest:
+            raise ParameterError(
+                "integration must start at least "
+                f"{QUIET_START_WIDTHS:g} pulse widths before the pulse centre "
+                f"(t_start <= {earliest:.6e} s) so the zero initial state is consistent"
+            )
 
     rho = matrix.spectral_radius
     if method == METHOD_RK4 and dt * rho > MAX_STEP_RADIUS:
@@ -409,7 +402,10 @@ def reconstruct_displacement(traj: Trajectory, steady: SteadyState, delta: float
     """Fill q_total(t) = q0 + 2*Re[q_plus(t) * exp(-i*delta*t)].
 
     The probe amplitude is already part of the trajectory through the forcing.
+    The real part is written out as Re q_plus cos + Im q_plus sin in float64
+    ufuncs, so no complex multiply, whose parts a machine may fuse, enters.
     """
-    phase = np.exp(-1j * delta * traj.times)
-    q_total = steady.mirror_displacement + 2.0 * np.real(traj.q_plus * phase)
+    phase = delta * traj.times
+    q = traj.q_plus
+    q_total = steady.mirror_displacement + 2.0 * (q.real * np.cos(phase) + q.imag * np.sin(phase))
     return replace(traj, q_total=q_total)

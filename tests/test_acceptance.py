@@ -238,7 +238,7 @@ def test_criterion_08_linearity_suite(ref, steady_5uw):
     p1 = ce.PulseSpec("sech", 1.0, w, 25 * w)
     p2 = ce.PulseSpec("gaussian", 0.7, 2 * w, 30 * w)
     s1 = ce.integrate(M, p1, span, dt, samples=128)
-    s2 = ce.integrate(M, p2, span, dt, samples=128, require_quiet_start=False)
+    s2 = ce.integrate(M, p2.envelope, span, dt, samples=128)
     s12 = ce.integrate(M, lambda t: p1.envelope(t) + p2.envelope(t), span, dt, samples=128)
     for a, b, c in ((s1.q_plus, s2.q_plus, s12.q_plus), (s1.c_plus, s2.c_plus, s12.c_plus)):
         scale = np.abs(c).max()

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,10 +334,10 @@ BUNDLE_SHA256 = {
     "fig8/fig8_width_sweep.csv": "7a124f7aaecf94f45ae77561464240ef887148e392327be5135cdb46aaff013a",
     "fig9/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
     "fig9/fig9_config.json": "e3151a29ccbf5d6075fe30d6d3db0d464e460d261eeb0a6aab303f06f2938645",
-    "fig9/fig9_dynamics.csv": "0f00ffca94ba39662f9e943df332a1f88d87343732202754052a44f17169f341",
+    "fig9/fig9_dynamics.csv": "3c821723729f011a86dc261fca8c8f7519fbaf808dda229216416831db1b57d2",
     "fig10/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
     "fig10/fig10_config.json": "1ab4e809c8dbd4d815e91ea784f206ef4e4564406b05471e89db6221b1eaf8f0",
-    "fig10/fig10_dynamics.csv": "0f00ffca94ba39662f9e943df332a1f88d87343732202754052a44f17169f341",
+    "fig10/fig10_dynamics.csv": "3c821723729f011a86dc261fca8c8f7519fbaf808dda229216416831db1b57d2",
 }
 
 
@@ -351,6 +355,31 @@ def test_figure_bundle_hashes(bundles):
         for path in sorted(bundles.glob("*/*"))
     }
     assert got == BUNDLE_SHA256
+
+
+def _run_cli_with(env, *argv):
+    """Exit status of ``python -m cavity_eit *argv`` in a new process with ``env`` added."""
+    package_root = str(Path(ce.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run([sys.executable, "-m", "cavity_eit", *argv], env=env,
+                          capture_output=True, timeout=300).returncode
+
+
+def test_dynamics_bytes_do_not_depend_on_machine(tmp_path):
+    # numpy's SIMD dispatch and the OpenBLAS core type must not reach the
+    # dynamics CSVs.  A machine without these features or cores runs its
+    # defaults, so only exit status and bytes are checked.
+    no_simd = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+    assert _run_cli_with(no_simd, "figure", "fig9", "--out-dir", str(tmp_path / "fig9")) == 0
+    csv = (tmp_path / "fig9" / "fig9_dynamics.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == BUNDLE_SHA256["fig9/fig9_dynamics.csv"]
+
+    expm = ["dynamics", "--method", "expm"]
+    assert run(*expm, "--out", str(tmp_path / "here.csv")) == 0
+    prescott = {"OPENBLAS_CORETYPE": "Prescott"}
+    assert _run_cli_with(prescott, *expm, "--out", str(tmp_path / "prescott.csv")) == 0
+    assert (tmp_path / "prescott.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
 
 
 def _replay_flags(run_cfg):
