@@ -30,7 +30,11 @@ P = e^Z, phi-function weights W_j), and one engine solves it in blocks by
 a prefix scan instead of a step-by-step loop.  Rules and engine are
 fixed-order float64 polynomials in the real form of M, free of BLAS and
 LAPACK.  Sharing them, the methods are no oracles for each other; the
-per-step loops in the tests are.
+per-step loops in the tests are.  The engine makes one forcing call per
+block: a PulseSpec's envelope takes the block's time array (a plain
+callable is still called once per time).  The envelope applies exp and
+cosh through the math module (libm) element by element on purpose, since
+numpy's SIMD versions differ from them in the last bit on some machines.
 
 The membrane displacement is reconstructed as
 
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -66,8 +70,9 @@ METHOD_EXPM = "expm"
 
 # Steps per block of the time-stepping scan.  Its work arrays, the sampled
 # forcing among them, hold one block, so memory does not grow with the step
-# count; a block this long makes the per-block numpy calls cheap next to the
-# per-step forcing calls.
+# count.  Each block pays a fixed cost in numpy calls, the one forcing call
+# among them, while the scan does log2(block) levels of work per step; a
+# block this long spreads the fixed cost over thousands of steps.
 _BLOCK = 4096
 
 # E_c: the real-form columns that act on (Re, Im) of the probe-driven c
@@ -142,19 +147,28 @@ class PulseSpec:
         if not math.isfinite(self.center):
             raise ParameterError(f"pulse center must be finite, got {self.center!r}")
 
-    def envelope(self, t: float) -> float:
-        """Instantaneous probe drive at time t (scalar, 1/s)."""
-        if self.shape == "constant":
-            return self.amplitude
-        x = (t - self.center) / self.width
-        if self.shape == "sech":
-            # sech overflows for |x| > ~710; the tail is exactly 0 there anyway
-            if abs(x) > 700.0:
-                return 0.0
-            return self.amplitude / math.cosh(x)
-        if self.shape == "gaussian":
-            return self.amplitude * math.exp(-0.5 * x * x)
-        return self.amplitude if abs(x) <= 0.5 else 0.0
+    def envelope(self, t: float | np.ndarray) -> float | np.ndarray:
+        """Probe drive at time t (1/s): a float for a float, an array for a float64 array."""
+        with np.errstate(over="ignore"):  # far tails overflow x*x to inf, as floats do silently
+            x = (np.asarray(t, dtype=float) - self.center) / self.width
+            if self.shape == "constant":
+                y = np.full(np.shape(t), self.amplitude, dtype=float)
+            elif self.shape == "sech":
+                # sech overflows for |x| > ~710; the tail is exactly 0 there anyway
+                cosh = _libm(math.cosh, np.clip(x, -700.0, 700.0))
+                y = np.where(np.abs(x) > 700.0, 0.0, self.amplitude / cosh)
+            elif self.shape == "gaussian":
+                y = self.amplitude * _libm(math.exp, -0.5 * x * x)
+            else:
+                y = np.where(np.abs(x) <= 0.5, self.amplitude, 0.0)
+        return y if np.ndim(t) else float(y)
+
+
+def _libm(fn: Callable[[float], float], a) -> np.ndarray:
+    """fn of each element of a, through the math module on purpose: numpy's own exp
+    and cosh pick SIMD code by machine, and differ from libm in the last bit on some."""
+    a = np.asarray(a)
+    return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
 Forcing = Union[PulseSpec, Callable[[float], complex]]
@@ -219,11 +233,12 @@ def build_matrix(
     )
 
 
-def _as_callable(forcing: Forcing) -> Callable[[float], complex]:
+def _sampler(forcing: Forcing) -> Callable[[np.ndarray], Sequence[complex]]:
+    """The forcing at an array of times: a pulse's array envelope, or a callable once per time."""
     if isinstance(forcing, PulseSpec):
         return forcing.envelope
     if callable(forcing):
-        return forcing
+        return lambda ts: [forcing(t) for t in ts.tolist()]
     raise ParameterError(f"forcing must be a PulseSpec or a callable, got {forcing!r}")
 
 
@@ -293,7 +308,7 @@ def _expm_rule(matrix: SystemMatrix, h: float) -> tuple[np.ndarray, np.ndarray]:
 def _advance(
     p: np.ndarray,
     w: np.ndarray,
-    f: Callable[[float], complex],
+    sample: Callable[[np.ndarray], Sequence[complex]],
     t0: float,
     h: float,
     n_steps: int,
@@ -305,7 +320,8 @@ def _advance(
     the solve is float64 multiplies and adds in a fixed order and its bytes
     do not depend on whether the machine fuses the parts of a complex
     product.  Steps are taken in blocks of _BLOCK.  A block samples the
-    forcing once per distinct time, forms each step's forcing term, adds
+    forcing in one call at its distinct times after the first, whose sample
+    the previous block carries over, forms each step's forcing term, adds
     the previous block's last state as P V to the first of them, and solves
     the recurrence by a doubling prefix scan with P, P^2, P^4, ...  Only the
     recorded steps are kept, so memory stays O(block) for any step count.
@@ -315,11 +331,11 @@ def _advance(
     while 2 ** len(pows) < _BLOCK:
         pows.append(_apply(pows[-1], pows[-1]))
 
-    last, f_prev, steps, states = np.zeros((len(p), 1)), f(t0), [], []
+    last, f_prev, steps, states = np.zeros((len(p), 1)), sample(np.array([t0]))[0], [], []
     for lo in range(0, n_steps, _BLOCK):
         n = min(_BLOCK, n_steps - lo)
-        ts = t0 + np.arange(q * lo + 1, q * (lo + n) + 1) / q * h
-        fs = np.array([f_prev, *map(f, ts.tolist())], dtype=complex)
+        fs = np.empty(q * n + 1, dtype=complex)
+        fs[0], fs[1:] = f_prev, sample(t0 + np.arange(q * lo + 1, q * (lo + n) + 1) / q * h)
         f_prev = fs[-1]
         # sample j of step i is fs[q*i + j]; its (Re, Im) sit at 2*(q*i + j) + (0, 1)
         pairs = fs.view(float)
@@ -389,13 +405,13 @@ def integrate(
             f"dt*rho(M) <= {MAX_STEP_RADIUS}; use dt <= {MAX_STEP_RADIUS / rho:.6e} s"
         )
 
-    f = _as_callable(forcing)
+    sample = _sampler(forcing)
     # the 1e-9 guard keeps dt = span/n from producing n+1 steps via roundoff
     n_steps = max(1, math.ceil((t1 - t0) / dt - 1e-9))
     h = (t1 - t0) / n_steps
     stride = max(1, -(-n_steps // (samples - 1)))  # ceil division
     rule = _rk4_rule if method == METHOD_RK4 else _expm_rule
-    return _advance(*rule(matrix, h), f, t0, h, n_steps, stride)
+    return _advance(*rule(matrix, h), sample, t0, h, n_steps, stride)
 
 
 def reconstruct_displacement(traj: Trajectory, steady: SteadyState, delta: float) -> Trajectory:

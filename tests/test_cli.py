@@ -374,6 +374,11 @@ def test_dynamics_bytes_do_not_depend_on_machine(tmp_path):
     assert _run_cli_with(no_simd, "figure", "fig9", "--out-dir", str(tmp_path / "fig9")) == 0
     csv = (tmp_path / "fig9" / "fig9_dynamics.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == BUNDLE_SHA256["fig9/fig9_dynamics.csv"]
+    # a Gaussian pulse samples exp, which numpy would take from SIMD code
+    gauss = ["dynamics", "--pulse-shape", "gaussian", "--pulse-width-s", "1e-5"]
+    assert run(*gauss, "--out", str(tmp_path / "gauss.csv")) == 0
+    assert _run_cli_with(no_simd, *gauss, "--out", str(tmp_path / "gauss_no_simd.csv")) == 0
+    assert (tmp_path / "gauss_no_simd.csv").read_bytes() == (tmp_path / "gauss.csv").read_bytes()
 
     expm = ["dynamics", "--method", "expm"]
     assert run(*expm, "--out", str(tmp_path / "here.csv")) == 0

@@ -114,6 +114,45 @@ def test_pulse_shapes():
     assert const.envelope(-5.0) == 0.7
 
 
+def oracle_envelope(pulse, t):
+    """The scalar envelope the array one replaced, kept as its oracle."""
+    if pulse.shape == "constant":
+        return pulse.amplitude
+    x = (t - pulse.center) / pulse.width
+    if pulse.shape == "sech":
+        # sech overflows for |x| > ~710; the tail is exactly 0 there anyway
+        if abs(x) > 700.0:
+            return 0.0
+        return pulse.amplitude / math.cosh(x)
+    if pulse.shape == "gaussian":
+        return pulse.amplitude * math.exp(-0.5 * x * x)
+    return pulse.amplitude if abs(x) <= 0.5 else 0.0
+
+
+# x = t for a unit pulse at 0: the sech cut-off, the rectangle's edges, Gaussian
+# tails that underflow to 0 and an x*x that overflows
+EDGE_X = [
+    700.0, np.nextafter(700.0, np.inf), 710.0, 1e6,
+    0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+    38.0, 38.6, 39.0, 40.0, 1e155, 0.0,
+]
+
+
+@pytest.mark.parametrize("shape", PULSE_SHAPES)
+def test_array_envelope_equals_scalar_oracle(shape):
+    rng = np.random.default_rng(7)
+    edges = np.array(EDGE_X + [-x for x in EDGE_X])
+    pulse = ce.PulseSpec(shape, 1.7, 3e-6, 5e-5)
+    for p, ts in ((ce.PulseSpec(shape, 1.3, 1.0), edges),
+                  (pulse, pulse.center + pulse.width * rng.uniform(-60, 60, 5000))):
+        got = p.envelope(ts)
+        assert got.dtype == np.float64 and got.shape == ts.shape
+        assert np.array_equal(got, [oracle_envelope(p, t) for t in ts.tolist()])
+        for t in ts[::7].tolist():
+            y = p.envelope(t)
+            assert type(y) is float and y == oracle_envelope(p, t)
+
+
 def test_pulse_validation():
     with pytest.raises(ce.ParameterError, match="shape"):
         ce.PulseSpec("triangle", 1.0, 1e-6)
@@ -281,10 +320,11 @@ def test_integrate_validation(matrix_5uw):
         ce.integrate(M, pulse, (0.0, 1e-4), 1e-7, method="euler")
     with pytest.raises(ce.ParameterError):
         ce.integrate(M, pulse, (0.0, 1e-4), 1e-7, samples=1)
-    with pytest.raises(ce.ParameterError):
-        ce.integrate(M, "not a pulse", (0.0, 1e-4), 1e-7)
     # non-finite times are refused before a step count is formed from them
     for method in (METHOD_RK4, METHOD_EXPM):
+        for forcing in ("not a pulse", 3.0):
+            with pytest.raises(ce.ParameterError, match="forcing"):
+                ce.integrate(M, forcing, (0.0, 1e-4), 1e-7, method=method)
         for span in ((0.0, math.inf), (-math.inf, 1e-4), (0.0, math.nan)):
             with pytest.raises(ce.ParameterError, match="t_span"):
                 ce.integrate(M, pulse, span, 1e-7, method=method)
@@ -338,9 +378,16 @@ def _expm_propagators(matrix, h):
     return prop, ph1, ph2
 
 
+def scalar_forcing(forcing):
+    """The forcing as a function of one time, a pulse's through the scalar oracle."""
+    if isinstance(forcing, ce.PulseSpec):
+        return lambda t: oracle_envelope(forcing, t)
+    return forcing
+
+
 def loop_expm(matrix, forcing, t_span, dt, samples):
     """The exponential integrator as a per-step loop: the oracle of the blocked solve."""
-    f = dynamics._as_callable(forcing)
+    f = scalar_forcing(forcing)
     t0, t1 = float(t_span[0]), float(t_span[1])
     n_steps = max(1, math.ceil((t1 - t0) / dt - 1e-9))
     h = (t1 - t0) / n_steps
@@ -369,7 +416,7 @@ def loop_expm(matrix, forcing, t_span, dt, samples):
 
 def loop_rk4(matrix, forcing, t_span, dt, samples):
     """Classical RK4 as a per-step loop: the oracle of the blocked solve."""
-    f = dynamics._as_callable(forcing)
+    f = scalar_forcing(forcing)
     t0, t1 = float(t_span[0]), float(t_span[1])
     n_steps = max(1, math.ceil((t1 - t0) / dt - 1e-9))
     h = (t1 - t0) / n_steps
@@ -445,7 +492,7 @@ def callable_forcing(method, matrix_5uw):
 def across_block_edges(method, M, n_steps):
     dt = 0.05 / M.spectral_radius
     t_end = n_steps * dt
-    pulse = ce.PulseSpec("sech", 1.0, t_end / 8, t_end / 2).envelope  # not quiet at t = 0
+    pulse = scalar_forcing(ce.PulseSpec("sech", 1.0, t_end / 8, t_end / 2))  # not quiet at t = 0
     for samples in (2, 7, n_steps + 2):
         traj = assert_matches_loop(method, M, pulse, (0.0, t_end), dt, samples)
         assert traj.times[-1] == pytest.approx(t_end)
@@ -484,6 +531,23 @@ def test_rk4_matches_loop_across_block_edges(matrix_5uw, n_steps):
     across_block_edges(METHOD_RK4, matrix_5uw[2], n_steps)
 
 
+@pytest.mark.parametrize("shape", PULSE_SHAPES)
+@pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
+def test_pulse_equals_its_scalar_oracle_across_block_edges(matrix_5uw, method, shape):
+    # the same bytes whether a block samples the pulse's array envelope or the
+    # scalar oracle once per time, on either side of a block edge
+    _, _, M = matrix_5uw
+    dt = 0.05 / M.spectral_radius
+    for n_steps in (B - 1, B, B + 1):
+        t_end = n_steps * dt
+        pulse = ce.PulseSpec(shape, 1.0, t_end / 60, t_end / 2)
+        got = ce.integrate(M, pulse, (0.0, t_end), dt, method=method, samples=n_steps + 2)
+        want = ce.integrate(M, scalar_forcing(pulse), (0.0, t_end), dt, method=method,
+                            samples=n_steps + 2)
+        for key in ("times", "q_plus", "c_plus"):
+            assert np.array_equal(getattr(got, key), getattr(want, key))
+
+
 @pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
 def test_matches_loop_at_worst_conditioned_eigenbasis(ref, method):
     # 2.7 uW at delta = omega_m has the worst eigenvector matrix on a scan over
@@ -500,7 +564,7 @@ def test_expm_matches_loop_at_long_steps(matrix_5uw, step_radius):
     # h*rho(M) above 1 is where the Taylor step needs its scaling and squaring
     _, _, M = matrix_5uw
     dt = step_radius / M.spectral_radius
-    pulse = ce.PulseSpec("gaussian", 1.0, 10 * dt, 200 * dt).envelope
+    pulse = scalar_forcing(ce.PulseSpec("gaussian", 1.0, 10 * dt, 200 * dt))
     assert_matches_loop(METHOD_EXPM, M, pulse, (0.0, 400 * dt), dt, 401)
 
 
