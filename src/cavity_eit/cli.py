@@ -19,6 +19,7 @@ single point).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -398,6 +399,7 @@ def _cmd_figure(args) -> None:
 # parser
 
 
+@functools.cache  # built on first use, then shared by main and emit_figure_bundle
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavity-eit",

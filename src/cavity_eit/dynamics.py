@@ -32,9 +32,10 @@ fixed-order float64 polynomials in the real form of M, free of BLAS and
 LAPACK.  Sharing them, the methods are no oracles for each other; the
 per-step loops in the tests are.  The engine makes one forcing call per
 block: a PulseSpec's envelope takes the block's time array (a plain
-callable is still called once per time).  The envelope applies exp and
-cosh through the math module (libm) element by element on purpose, since
-numpy's SIMD versions differ from them in the last bit on some machines.
+callable is still called once per time).  The envelope's exponential is
+_exp, a range reduction and a Taylor polynomial in exactly rounded float64
+array ops: numpy's SIMD exp and cosh, and libm's, differ in the last bit
+from machine to machine, and a call to libm per sample is slow.
 
 The membrane displacement is reconstructed as
 
@@ -82,6 +83,14 @@ _FORCED = slice(2, 4)
 # Taylor coefficients 1/k!, k < 19, of the exponential step: at spectral radius
 # below 1 the terms left out sum to under 1/19! * 20/19 < 9e-18 (unit roundoff 1.1e-16).
 _EXP_TAYLOR = tuple(1 / math.factorial(k) for k in range(19))
+
+# _exp's reduction constants (fdlibm e_exp.c: _LN2_HI has 21 trailing zero bits, so
+# k*_LN2_HI is exact for |k| < 2^21) and its Horner coefficients 1/13!, ..., 1/2!:
+# at |r| <= ln2/2 the terms left out sum to under 5e-18 relative (0.05 ulp).
+_INV_LN2 = 1.44269504088896338700e00
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_EXP_Q = tuple(1 / math.factorial(k) for k in range(13, 1, -1))
 
 
 class InstabilityError(ArithmeticError):
@@ -149,26 +158,48 @@ class PulseSpec:
 
     def envelope(self, t: float | np.ndarray) -> float | np.ndarray:
         """Probe drive at time t (1/s): a float for a float, an array for a float64 array."""
-        with np.errstate(over="ignore"):  # far tails overflow x*x to inf, as floats do silently
+        # far tails overflow x*x to inf, as floats do silently; a NaN time gives NaN
+        with np.errstate(over="ignore", invalid="ignore"):
             x = (np.asarray(t, dtype=float) - self.center) / self.width
             if self.shape == "constant":
                 y = np.full(np.shape(t), self.amplitude, dtype=float)
             elif self.shape == "sech":
-                # sech overflows for |x| > ~710; the tail is exactly 0 there anyway
-                cosh = _libm(math.cosh, np.clip(x, -700.0, 700.0))
-                y = np.where(np.abs(x) > 700.0, 0.0, self.amplitude / cosh)
+                # sech x = 2e/(1 + e^2) = 2e - 2e e^2/(1 + e^2) with e = e^-|x|, which
+                # underflows to 0 in the far tails; the second form weights the
+                # roundings of its e^2 term by e^2/(1 + e^2), the first does not
+                e = _exp(-np.abs(x))
+                y = 2.0 * self.amplitude * e
+                y -= y * (e * e / (1.0 + e * e))
             elif self.shape == "gaussian":
-                y = self.amplitude * _libm(math.exp, -0.5 * x * x)
+                y = self.amplitude * _exp(-0.5 * x * x)
             else:
                 y = np.where(np.abs(x) <= 0.5, self.amplitude, 0.0)
         return y if np.ndim(t) else float(y)
 
 
-def _libm(fn: Callable[[float], float], a) -> np.ndarray:
-    """fn of each element of a, through the math module on purpose: numpy's own exp
-    and cosh pick SIMD code by machine, and differ from libm in the last bit on some."""
-    a = np.asarray(a)
-    return np.fromiter(map(fn, a.ravel().tolist()), float, a.size).reshape(a.shape)
+def _exp(a) -> np.ndarray:
+    """e^a for a <= 0, under 1 ulp for normal results, from exactly rounded float64 ops only.
+
+    numpy's np.exp and libm's exp differ in the last bit from machine to machine,
+    so the bytes would too.  Here a is clipped to [-746, 0] (e^-746 rounds to 0),
+    reduced as a = k ln2 + r, |r| <= ln2/2, with fdlibm's two-part ln2 (k*_LN2_HI
+    is exact), e^r is the Taylor polynomial 1 + r + r^2 (1/2! + ... + r^11/13!)
+    by Horner, and 2^k is applied by ldexp.  A NaN's k casts to an arbitrary int
+    (numpy warns as invalid) and the result stays NaN.
+    """
+    a = np.clip(a, -746.0, 0.0)
+    k = np.rint(a * _INV_LN2)
+    r = a - k * _LN2_HI
+    r -= k * _LN2_LO
+    p = _EXP_Q[0] * r
+    p += _EXP_Q[1]
+    for c in _EXP_Q[2:]:  # in place, and still one exactly rounded op each
+        p *= r
+        p += c
+    p *= r * r
+    p += r
+    p += 1.0
+    return np.ldexp(p, k.astype(np.intc))
 
 
 Forcing = Union[PulseSpec, Callable[[float], complex]]
@@ -345,10 +376,12 @@ def _advance(
         for k, pk in enumerate(pows[: (n - 1).bit_length()]):
             y[:, 2**k :] += _apply(pk, y[:, : -(2**k)])
         last = y[:, -1:]
-        step = np.arange(lo + 1, lo + n + 1)
-        keep = (step % stride == 0) | (step == n_steps)
-        steps.append(step[keep])
-        states.append(y[:, keep])
+        first = -(lo + 1) % stride  # y's column of the block's first multiple of stride
+        steps.append(np.arange(lo + 1 + first, lo + n + 1, stride))
+        states.append(y[:, first::stride].copy())  # a copy, so the block itself is freed
+    if n_steps % stride:
+        steps.append([n_steps])
+        states.append(last)
 
     v = np.concatenate([np.zeros((len(p), 1)), *states], axis=1)
     q_plus, c_plus = np.ascontiguousarray(v.T).view(complex).T.copy()

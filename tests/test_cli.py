@@ -334,10 +334,10 @@ BUNDLE_SHA256 = {
     "fig8/fig8_width_sweep.csv": "7a124f7aaecf94f45ae77561464240ef887148e392327be5135cdb46aaff013a",
     "fig9/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
     "fig9/fig9_config.json": "e3151a29ccbf5d6075fe30d6d3db0d464e460d261eeb0a6aab303f06f2938645",
-    "fig9/fig9_dynamics.csv": "3c821723729f011a86dc261fca8c8f7519fbaf808dda229216416831db1b57d2",
+    "fig9/fig9_dynamics.csv": "c0129729f0547ce2caf73a532922a7b248a63a224240739b53e7dee31ed375d7",
     "fig10/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
     "fig10/fig10_config.json": "1ab4e809c8dbd4d815e91ea784f206ef4e4564406b05471e89db6221b1eaf8f0",
-    "fig10/fig10_dynamics.csv": "3c821723729f011a86dc261fca8c8f7519fbaf808dda229216416831db1b57d2",
+    "fig10/fig10_dynamics.csv": "c0129729f0547ce2caf73a532922a7b248a63a224240739b53e7dee31ed375d7",
 }
 
 
