@@ -9,7 +9,11 @@ previously reported scalars.
 
 Floats are written in fixed 17-significant-digit scientific notation so
 CSV output round-trips doubles losslessly and is byte-stable across runs.
-Undefined delays are emitted as the literal ``NaN``.
+Undefined delays are emitted as the literal ``NaN``.  The bytes are those
+``'%.16e' % v`` writes, but made a block of rows at a time by array
+arithmetic that rounds each float exactly, with the same bytes on every
+machine; a float within 1e-6 of a rounding tie, inf and NaN are written by
+``'%.16e'`` itself.
 
 Exit codes: 0 success, 1 validation error (message names the offending
 field), 2 numerical error (instability, undefined delay at a requested
@@ -74,22 +78,148 @@ NUMERICAL_ERRORS = (
 )
 
 
-def _csv(header: str, *columns) -> str:
-    """The header, then one row per index of the equal-length columns."""
-    template = ",".join(["%.16e"] * len(columns)) + "\n"
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    # %e prints every NaN, sign bit or not, as "nan"
-    return header + "\n" + "".join(map(template.__mod__, rows)).replace("nan", "NaN")
+# The CSV float formatter.  A finite v != 0 is written as the 17 significant
+# digits N of |v| * 10^(16 - E), N in [10^16, 10^17), rounded half-even as
+# '%.16e' rounds it.  |v| * 10^(16 - E) is formed as a double-double from
+# frexp's mantissa and a 107-bit 10^k = (hi + lo) * 2^b (Dekker's exact
+# product of the mantissa and hi, plus mantissa * lo), so its error is under
+# 1e-13 and N is exact unless the fraction lies within _TIE_MARGIN of 1/2.
+# Such elements, and inf and NaN, are written by '%.16e' itself.  Only exactly
+# rounded float64 and int64 ops are used (no log10, exp or FMA), so the bytes
+# do not depend on numpy's SIMD dispatch.
+_E_MIN, _E_MAX = -326, 309  # every E the estimate and its two steps reach
+_LOG10_2 = 0.30102999566398120
+_SPLIT = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
+_TIE_MARGIN = 1e-6
+# A field is 7 little-endian words, "\0-d." "dddd" x 4 "e-dd" "d,\0\0": every
+# byte but a pad byte (0) is written, so the row bytes are the nonzero ones.
+_WORDS = 7
+_BLOCK_ROWS = 512  # rows formatted at once: memory stays flat for long tables
 
 
-def _emit(text: str, out: str) -> None:
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """The formatter's lookup tables, built on the first CSV.
+
+    Indexed by E - _E_MIN: hi, hi's two Dekker halves, lo and b with
+    10^(16 - E) = (hi + lo) * 2^b to 107 bits, from exact integers, and the
+    words "e+dd" / "e-dd" and "d" of the exponent (a pad byte for the hundreds
+    digit of a two-digit exponent).  Indexed by g: the word "dddd" of 0 <= g < 10^4.
+    """
+    his, los, bs = [], [], []
+    for k in range(16 - _E_MIN, 16 - _E_MAX - 1, -1):
+        if k >= 0:  # 10^k truncated to 107 bits: m * 2^s
+            n = 10**k
+            s = n.bit_length() - 107
+            m = n >> s if s >= 0 else n << -s
+        else:  # 2^-s / 10^-k, floored to 107 bits
+            s = -(10 ** -k).bit_length() - 106
+            m = (1 << -s) // 10**-k
+        his.append(m >> 54)
+        los.append(m & ((1 << 54) - 1))
+        bs.append(s + 54)
+    hi = np.array(his, dtype=float)
+    c = hi * _SPLIT
+    hi1 = c - (c - hi)
+    lo = np.array(los, dtype=float) * 2.0**-54
+
+    g = np.arange(10_000)
+    digits = _word(g // 1000 + 48, g // 100 % 10 + 48, g // 10 % 10 + 48, g % 10 + 48)
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    a = np.abs(e)
+    hundreds = np.where(a < 100, 0, a // 100 + 48)
+    exp_head = _word(ord("e"), np.where(e < 0, ord("-"), ord("+")), hundreds, a // 10 % 10 + 48)
+    exp_tail = _word(a % 10 + 48, 0, 0, 0)
+    return hi, hi1, hi - hi1, lo, np.array(bs, dtype=np.int32), exp_head, exp_tail, digits
+
+
+def _word(b0, b1, b2, b3) -> np.ndarray:
+    """The little-endian uint32 words of the bytes b0..b3."""
+    b0, b1, b2, b3 = map(np.asarray, (b0, b1, b2, b3))
+    return (b0 | b1 << 8 | b2 << 16 | b3 << 24).astype("<u4")
+
+
+def _round17(m, e, E, tables):
+    """N = |v| * 10^(16 - E) rounded half-even, |v| = m * 2^e, and whether N may be off by one."""
+    hi, hi1, hi2, lo, b = (t[E - _E_MIN] for t in tables[:5])
+    c = m * _SPLIT
+    m1 = c - (c - m)
+    m2 = m - m1
+    p = m * hi
+    r = ((m1 * hi1 - p) + m1 * hi2 + m2 * hi1) + m2 * hi2 + m * lo
+    shift = e + b
+    p = np.ldexp(p, shift)  # an integer once N >= 10^16 > 2^53
+    r = np.ldexp(r, shift)
+    ri = np.rint(r)
+    return p.astype(np.int64) + ri.astype(np.int64), np.abs(r - ri) > 0.5 - _TIE_MARGIN
+
+
+def _format_block(block: np.ndarray, tables) -> bytes:
+    """The rows of a 2-D float64 block as CSV lines, each float as '%.16e' writes it."""
+    v = block.ravel()
+    finite = np.isfinite(v)
+    zero = v == 0
+    m, e = np.frexp(np.where(finite & ~zero, np.abs(v), 1.0))
+    E = np.floor((e - 1) * _LOG10_2).astype(np.intp)  # at most one below the true exponent
+    N, unsure = _round17(m, e, E, tables)
+    # step E until N has 17 digits: once for the estimate, once more for a carry
+    wrong = np.flatnonzero((N < 10**16) | (N >= 10**17))
+    for _ in range(2):
+        if not wrong.size:
+            break
+        E[wrong] += np.where(N[wrong] >= 10**17, 1, -1)
+        N[wrong], unsure[wrong] = _round17(m[wrong], e[wrong], E[wrong], tables)
+        wrong = wrong[(N[wrong] < 10**16) | (N[wrong] >= 10**17)]
+    unsure[wrong] = True
+    N[zero] = 0
+    E[zero] = 0
+
+    # N = d0 g1 g2 g3 g4 in 1- and 4-digit groups; floor(x / 1e4) is exact for x < 1e9
+    q, r = np.divmod(N, 10**8)
+    q = q.astype(float)
+    r = r.astype(float)
+    t = np.floor(q / 1e4)
+    d0 = np.floor(t / 1e4)
+    g3 = np.floor(r / 1e4)
+    groups = np.stack([t - d0 * 1e4, q - t * 1e4, g3, r - g3 * 1e4], axis=1).astype(np.intp)
+
+    exp_head, exp_tail, digits = tables[5:]
+    fields = np.empty((v.size, _WORDS), dtype="<u4")
+    fields[:, 0] = _word(0, np.signbit(v) * ord("-"), d0.astype(np.int64) + 48, ord("."))
+    fields[:, 1:5] = digits[groups]
+    fields[:, 5] = exp_head[E - _E_MIN]
+    sep = _word(0, [ord(",")] * (block.shape[1] - 1) + [ord("\n")], 0, 0)
+    fields[:, 6] = (exp_tail[E - _E_MIN].reshape(block.shape) | sep).ravel()
+    text_bytes = fields.view(np.uint8)
+    for i in np.flatnonzero(~finite | unsure):
+        # %e prints every NaN, sign bit or not, as "nan"
+        text = ("%.16e" % v[i]).replace("nan", "NaN").encode()
+        text_bytes[i, :25] = 0  # all but the separator
+        text_bytes[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return text_bytes[text_bytes != 0].tobytes()
+
+
+def _csv(header: str, *columns) -> bytes:
+    """The header, then one row per index of the equal-length columns, as ASCII bytes.
+
+    Each float is written as ``'%.16e' % v`` writes it, NaN as ``NaN``.
+    """
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    tables = _format_tables()
+    blocks = (_format_block(table[i:i + _BLOCK_ROWS], tables)
+              for i in range(0, len(table), _BLOCK_ROWS))
+    return header.encode() + b"\n" + b"".join(blocks)
+
+
+def _emit(data: bytes, out: str) -> None:
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
     else:
         path = Path(out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 def _note(msg: str) -> None:
@@ -135,7 +265,7 @@ def _cmd_steady_state(args) -> dict:
         "q0_m": st.mirror_displacement,
         "alpha_si": st.alpha,
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n", args.out)
     _note(
         f"steady-state: photon_number={st.photon_number:.6e} "
         f"alpha={st.alpha:.6e} -> {args.out}"
@@ -377,13 +507,13 @@ def emit_figure_bundle(figure_id: str, out_dir: str | Path) -> list[Path]:
 
     config_path = out / f"{figure_id}_config.json"
     sidecar = {"figure": figure_id, "runs": runs}
-    _emit(json.dumps(sidecar, indent=2, sort_keys=True) + "\n", str(config_path))
+    _emit(json.dumps(sidecar, indent=2, sort_keys=True).encode() + b"\n", str(config_path))
     written.append(config_path)
 
     report_path = out / "comparison_report.json"
     params, _ = reference_defaults()
     _emit(
-        json.dumps(comparison_report(params), indent=2, sort_keys=True) + "\n",
+        json.dumps(comparison_report(params), indent=2, sort_keys=True).encode() + b"\n",
         str(report_path),
     )
     written.append(report_path)

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import cavity_eit as ce
 from cavity_eit.cli import (
@@ -16,6 +19,7 @@ from cavity_eit.cli import (
     FIGURE_RUNS,
     SPECTRUM_HEADER,
     SWEEP_HEADER,
+    _csv,
     emit_figure_bundle,
     main,
 )
@@ -63,11 +67,14 @@ def test_spectrum_csv(tmp_path):
     assert abs(rows[i_min][x_col] - 1.0) < 0.02
 
 
-def test_spectrum_deterministic_bytes(tmp_path):
+def test_spectrum_deterministic_bytes(tmp_path, capfdbinary):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run("spectrum", "--grid-n", "301", "--out", str(a)) == 0
     assert run("spectrum", "--grid-n", "301", "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+    capfdbinary.readouterr()
+    assert run("spectrum", "--grid-n", "301", "--out", "-") == 0
+    assert capfdbinary.readouterr().out == a.read_bytes()
 
 
 def test_csv_floats_roundtrip(tmp_path):
@@ -81,6 +88,78 @@ def test_csv_floats_roundtrip(tmp_path):
     for i, row in enumerate(rows):
         assert row[0] == table.delta[i]  # 17 significant digits: lossless
         assert row[4] == table.eps_t[i].real
+
+
+def oracle_csv(header: str, *columns) -> str:
+    """The header, then one row per index of the equal-length columns."""
+    template = ",".join(["%.16e"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    # %e prints every NaN, sign bit or not, as "nan"
+    return header + "\n" + "".join(map(template.__mod__, rows)).replace("nan", "NaN")
+
+
+def random_doubles(n, seed=20121024):
+    """n doubles from uniform random 64-bit patterns: every exponent, subnormals, inf and NaN."""
+    return np.random.default_rng(seed).integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+
+
+def assert_csv_matches_oracle(values, n_columns):
+    table = np.asarray(values, dtype=float).reshape(-1, n_columns)
+    assert _csv("h", *table.T) == oracle_csv("h", *table.T).encode()
+
+
+def test_csv_matches_template_oracle():
+    assert_csv_matches_oracle(random_doubles(10**6), 8)
+
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    assert_csv_matches_oracle([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)], 1)
+
+    # the largest doubles below a decade edge, where 17-digit rounding carries
+    edges = np.array([9.9999999999999995e16, 9.9999999999999995e-5, 0.99999999999999995,
+                      99999999999999995.0, 9.999999999999999e22, 9.9999999999999999e307])
+    assert_csv_matches_oracle([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)], 3)
+
+    # exact ties, rounded half to even: v = M / 2^(17 - E) in [10^E, 10^(E+1)) with
+    # M odd gives v * 10^(16 - E) = M * 5^(16 - E) / 2
+    rng = np.random.default_rng(7)
+    ties = []
+    for e10 in range(16):
+        lo = 10**e10 * 2 ** (17 - e10)
+        hi = min(10 * lo, 2**53)
+        ties.append((rng.integers(lo // 2, hi // 2, size=4000) * 2 + 1) / 2.0 ** (17 - e10))
+    ties = np.concatenate(ties)
+    assert_csv_matches_oracle([ties, -ties], 2)
+    assert _csv("h", [1000000000000000.25]) == b"h\n1.0000000000000002e+15\n"
+
+    # near ties: v = m / 2^j with m * 10^k / 2^j = (m * 5^k mod 2^D) / 2^D = 1/2 + delta / 2^D
+    # (mod 1), D = j - k, k = 16 - E, so the rounding is decided 2^-D (down to 1e-16) from 1/2
+    near = []
+    for j in range(53, 80):
+        k = 16 - math.floor((52.5 - j) * math.log10(2))
+        depth = j - k
+        inverse = pow(5**k, -1, 2**depth)
+        for delta in range(-8, 9):
+            r0 = (2 ** (depth - 1) + delta) * inverse % 2**depth
+            for m in (2**52 + (r0 - 2**52) % 2**depth, 2**53 - 1 - (2**53 - 1 - r0) % 2**depth):
+                if delta and 2**52 <= m < 2**53 and 10**16 << j <= m * 10**k < 10**17 << j:
+                    near.append(math.ldexp(m, -j))
+    assert len(near) > 500
+    assert_csv_matches_oracle(near, 1)
+
+    nan = np.float64(np.nan)
+    specials = [0.0, -0.0, np.inf, -np.inf, nan, -nan, 5e-324, -5e-324,
+                np.finfo(float).max, -np.finfo(float).max]
+    assert_csv_matches_oracle(specials, 2)
+    assert _csv("h", [-nan], [nan]) == b"h\nNaN,NaN\n"
+
+    assert _csv("h", [], []) == oracle_csv("h", [], []).encode() == b"h\n"
+
+
+@settings(deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 9)),
+              elements=st.floats(allow_nan=True, allow_infinity=True)))
+def test_csv_matches_template_oracle_property(table):
+    assert _csv("h", *table.T) == oracle_csv("h", *table.T).encode()
 
 
 def test_width_sweep_affine_and_nan(tmp_path):
@@ -357,27 +436,33 @@ def test_figure_bundle_hashes(bundles):
     assert got == BUNDLE_SHA256
 
 
-def _run_cli_with(env, *argv):
-    """Exit status of ``python -m cavity_eit *argv`` in a new process with ``env`` added."""
+NO_SIMD = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def _python_with(env, *argv):
+    """``python *argv`` run in a new process that imports this package, with ``env`` added."""
     package_root = str(Path(ce.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, **env}
-    return subprocess.run([sys.executable, "-m", "cavity_eit", *argv], env=env,
-                          capture_output=True, timeout=300).returncode
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, timeout=300)
+
+
+def _run_cli_with(env, *argv):
+    """Exit status of ``python -m cavity_eit *argv`` in a new process with ``env`` added."""
+    return _python_with(env, "-m", "cavity_eit", *argv).returncode
 
 
 def test_dynamics_bytes_do_not_depend_on_machine(tmp_path):
     # numpy's SIMD dispatch and the OpenBLAS core type must not reach the
     # dynamics CSVs.  A machine without these features or cores runs its
     # defaults, so only exit status and bytes are checked.
-    no_simd = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
-    assert _run_cli_with(no_simd, "figure", "fig9", "--out-dir", str(tmp_path / "fig9")) == 0
+    assert _run_cli_with(NO_SIMD, "figure", "fig9", "--out-dir", str(tmp_path / "fig9")) == 0
     csv = (tmp_path / "fig9" / "fig9_dynamics.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == BUNDLE_SHA256["fig9/fig9_dynamics.csv"]
     # a Gaussian pulse samples exp, which numpy would take from SIMD code
     gauss = ["dynamics", "--pulse-shape", "gaussian", "--pulse-width-s", "1e-5"]
     assert run(*gauss, "--out", str(tmp_path / "gauss.csv")) == 0
-    assert _run_cli_with(no_simd, *gauss, "--out", str(tmp_path / "gauss_no_simd.csv")) == 0
+    assert _run_cli_with(NO_SIMD, *gauss, "--out", str(tmp_path / "gauss_no_simd.csv")) == 0
     assert (tmp_path / "gauss_no_simd.csv").read_bytes() == (tmp_path / "gauss.csv").read_bytes()
 
     expm = ["dynamics", "--method", "expm"]
@@ -385,6 +470,18 @@ def test_dynamics_bytes_do_not_depend_on_machine(tmp_path):
     prescott = {"OPENBLAS_CORETYPE": "Prescott"}
     assert _run_cli_with(prescott, *expm, "--out", str(tmp_path / "prescott.csv")) == 0
     assert (tmp_path / "prescott.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
+
+
+def test_csv_bytes_do_not_depend_on_machine(tmp_path):
+    # the formatter's arithmetic must not reach numpy's SIMD code paths; it is fed
+    # fixed bit patterns, not a spectrum, whose values still move with them
+    values = random_doubles(10**6).reshape(-1, 8)
+    np.save(tmp_path / "values.npy", values)
+    code = ("import sys, numpy as np; from cavity_eit.cli import _csv; "
+            "sys.stdout.buffer.write(_csv('h', *np.load(sys.argv[1]).T))")
+    proc = _python_with(NO_SIMD, "-c", code, str(tmp_path / "values.npy"))
+    assert proc.returncode == 0
+    assert proc.stdout == _csv("h", *values.T)
 
 
 def _replay_flags(run_cfg):
