@@ -28,7 +28,6 @@ from .response import (
     c_plus,
     eit_width,
     group_delay_analytic,
-    group_delay_fd,
     power_sweep,
     spectrum,
     transmitted_amplitude,
@@ -69,7 +68,6 @@ __all__ = [
     "derive",
     "eit_width",
     "group_delay_analytic",
-    "group_delay_fd",
     "integrate",
     "load_params",
     "power_sweep",

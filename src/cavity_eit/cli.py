@@ -276,15 +276,15 @@ def _cmd_steady_state(args) -> dict:
 def _make_grid(args, params: SystemParams) -> np.ndarray:
     if args.grid_n < 1:
         raise ParameterError(f"--grid-n must be >= 1, got {args.grid_n}")
+    lo, hi = args.grid_min * params.mirror_freq, args.grid_max * params.mirror_freq
+    for flag, raw, scaled in (("--grid-min", args.grid_min, lo), ("--grid-max", args.grid_max, hi)):
+        if not math.isfinite(scaled):
+            raise ParameterError(f"{flag} times mirror_freq must be finite, got {raw}")
     if not (args.grid_max > args.grid_min):
         raise ParameterError(
             f"--grid-max must exceed --grid-min, got {args.grid_min} .. {args.grid_max}"
         )
-    return np.linspace(
-        args.grid_min * params.mirror_freq,
-        args.grid_max * params.mirror_freq,
-        args.grid_n,
-    )
+    return np.linspace(lo, hi, args.grid_n)
 
 
 def _cmd_spectrum(args) -> dict:

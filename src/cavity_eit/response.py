@@ -15,9 +15,7 @@ else in this module is algebra on top of it:
 * transmitted / reflected amplitudes  eps_T = 2k*c_plus,  eps_R = eps_T - 1
 * spectra  T = |eps_T|^2,  R = |eps_R|^2
 * group delay / advance  tau_X = Im[(d eps_X / d detuning) / eps_X],
-  available both as the exact quotient-rule derivative of the rational
-  function and as a Richardson-extrapolated central difference; the two
-  act as independent cross-checks of each other
+  the exact quotient-rule derivative of the rational function
 * transparency half-width  Gamma = gm/2 + alpha / (4*m*om*k), affine in
   pump power.
 
@@ -48,10 +46,6 @@ AMPLITUDE_FLOOR = 1e-9
 # |denominator| below which the response is undefined: NaN in grids and
 # sweeps, DegenerateDenominatorError for a scalar amplitude.
 DENOMINATOR_FLOOR = 1e-300
-# Default finite-difference step as a fraction of the mirror frequency:
-# small enough to resolve the narrow transparency feature at microwatt
-# pump powers, large enough to stay far above double-precision noise.
-FD_STEP_FRACTION = 1e-6
 
 
 class DegenerateDenominatorError(ArithmeticError):
@@ -162,48 +156,11 @@ def c_plus(
     return transmitted_amplitude(delta, params, steady) / (2.0 * params.cavity_decay)
 
 
-def _taus_fd(delta: ArrayLike, params: SystemParams, alpha: float, step: float):
-    """Central-difference delays with one Richardson halving (O(step^4) error)."""
-
-    def eps_t(d):
-        return _response(d, params, alpha)[0]
-
-    d = np.asarray(delta, dtype=float)
-    coarse = (eps_t(d + step) - eps_t(d - step)) / (2.0 * step)
-    half = 0.5 * step
-    fine = (eps_t(d + half) - eps_t(d - half)) / (2.0 * half)
-    der = (4.0 * fine - coarse) / 3.0
-    et = eps_t(d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau_t = np.imag(der / et)
-        tau_r = np.imag(der / (et - 1.0))
-    return _mask_floor(tau_t, et), _mask_floor(tau_r, et - 1.0)
-
-
 def group_delay_analytic(
     delta: float, params: SystemParams, steady: SteadyState
 ) -> DelayReport:
     """Group delay of both ports from the exact derivative of the response."""
     _, tau_t, tau_r, _ = _response(delta, params, steady.alpha)
-    return DelayReport(tau_t=float(tau_t), tau_r=float(tau_r))
-
-
-def group_delay_fd(
-    delta: float,
-    params: SystemParams,
-    steady: SteadyState,
-    step: float | None = None,
-) -> DelayReport:
-    """Group delay of both ports by Richardson-extrapolated central differences.
-
-    Shares no derivative algebra with group_delay_analytic, so agreement
-    between the two validates both.
-    """
-    if step is None:
-        step = FD_STEP_FRACTION * params.mirror_freq
-    if not (step > 0):
-        raise ParameterError(f"finite-difference step must be positive, got {step!r}")
-    tau_t, tau_r = _taus_fd(delta, params, steady.alpha, step)
     return DelayReport(tau_t=float(tau_t), tau_r=float(tau_r))
 
 

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 import cavity_eit as ce
@@ -20,3 +23,26 @@ def steady_at(params, power):
     """Steady state of `params` at pump power `power` (W)."""
     drive = ce.DriveParams(pump_power=power)
     return ce.solve_steady(params, ce.derive(params, drive))
+
+
+def group_delay_fd(delta, params, steady):
+    """Oracle for ce.group_delay_analytic: central differences of eps_T.
+
+    The step is 1e-6 of the mirror frequency, with one Richardson halving
+    (O(step^4) error).  It shares only eps_T, through the public array
+    path, with the code it checks, and none of its derivative algebra.
+    Like the library, it reports NaN where |eps_X| < ce.AMPLITUDE_FLOOR.
+    """
+    step = 1e-6 * params.mirror_freq
+
+    def eps_t(d):
+        return ce.transmitted_amplitude(np.atleast_1d(d), params, steady)[0]
+
+    coarse = (eps_t(delta + step) - eps_t(delta - step)) / (2.0 * step)
+    half = 0.5 * step
+    fine = (eps_t(delta + half) - eps_t(delta - half)) / (2.0 * half)
+    der = (4.0 * fine - coarse) / 3.0
+    et = eps_t(delta)
+    taus = [complex(der / eps).imag if abs(eps) >= ce.AMPLITUDE_FLOOR else math.nan
+            for eps in (et, et - 1.0)]
+    return ce.DelayReport(*taus)

@@ -18,7 +18,7 @@ from cavity_eit.cli import emit_figure_bundle
 from cavity_eit.dynamics import METHOD_EXPM, METHOD_RK4
 from cavity_eit.params import C_LIGHT, HBAR
 
-from conftest import steady_at
+from conftest import group_delay_fd, steady_at
 
 SWEEP_UW = (0.2, 0.5, 1.0, 2.0, 5.0)
 
@@ -155,7 +155,7 @@ def test_criterion_05_derivative_cross_check(ref):
         st = steady_at(params, power)
         for d in grid:
             an = ce.group_delay_analytic(float(d), params, st)
-            fd = ce.group_delay_fd(float(d), params, st)
+            fd = group_delay_fd(float(d), params, st)
             for a, f in ((an.tau_t, fd.tau_t), (an.tau_r, fd.tau_r)):
                 if math.isnan(a) or math.isnan(f):
                     assert math.isnan(a) and math.isnan(f)

@@ -295,6 +295,19 @@ def test_non_finite_detuning_rejected(tmp_path, capsys, command, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags", [["--grid-max", "inf"], ["--grid-min=-inf"], ["--grid-max", "1e308"]]
+)
+def test_non_finite_grid_bound_rejected(tmp_path, capsys, flags):
+    # 1e308 is finite but overflows once scaled by mirror_freq
+    out = tmp_path / "x.csv"
+    assert run("spectrum", *flags, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[0].split('=')[0]} ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_dynamics_expm_matches_rk4(tmp_path):
     kick = FIGURE_RUNS["fig9"][0][1]
     assert run("dynamics", *kick, "--out", str(tmp_path / "rk4.csv")) == 0

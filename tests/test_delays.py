@@ -5,22 +5,8 @@ import numpy as np
 import pytest
 
 import cavity_eit as ce
-from cavity_eit.response import FD_STEP_FRACTION
 
-from conftest import steady_at
-
-
-def test_custom_step_recorded(ref, steady_5uw):
-    # the default step is FD_STEP_FRACTION of the mirror frequency, and an
-    # explicit step is the one used
-    params, _ = ref
-    om = params.mirror_freq
-    default = ce.group_delay_fd(om, params, steady_5uw)
-    assert FD_STEP_FRACTION == 1e-6
-    assert default == ce.group_delay_fd(om, params, steady_5uw, step=FD_STEP_FRACTION * om)
-    assert default != ce.group_delay_fd(om, params, steady_5uw, step=2.5)
-    with pytest.raises(ce.ParameterError):
-        ce.group_delay_fd(params.mirror_freq, params, steady_5uw, step=0.0)
+from conftest import group_delay_fd, steady_at
 
 
 def test_empty_cavity_resonant_delay(ref):
@@ -35,7 +21,7 @@ def test_empty_cavity_resonant_delay(ref):
 def test_fd_matches_closed_form_at_empty_resonance(ref):
     params, _ = ref
     st = steady_at(params, 0.0)
-    rep = ce.group_delay_fd(params.effective_detuning, params, st)
+    rep = group_delay_fd(params.effective_detuning, params, st)
     assert rep.tau_t == pytest.approx(1.0 / (2.0 * params.cavity_decay), rel=1e-6)
 
 
@@ -46,7 +32,7 @@ def test_analytic_vs_fd_grid(ref):
         st = steady_at(params, power)
         for d in grid:
             an = ce.group_delay_analytic(float(d), params, st)
-            fd = ce.group_delay_fd(float(d), params, st)
+            fd = group_delay_fd(float(d), params, st)
             for a, f in ((an.tau_t, fd.tau_t), (an.tau_r, fd.tau_r)):
                 if math.isnan(a) or math.isnan(f):
                     assert math.isnan(a) and math.isnan(f)
@@ -102,5 +88,5 @@ def test_reflected_advance_exists_off_resonance(ref):
     assert tau_r[i] < 0
     assert abs(d - om) > 10 * gamma_weak
     an = ce.group_delay_analytic(d, params, weak)
-    fd = ce.group_delay_fd(d, params, weak)
+    fd = group_delay_fd(d, params, weak)
     assert fd.tau_r == pytest.approx(an.tau_r, rel=1e-6)

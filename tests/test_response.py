@@ -162,9 +162,8 @@ def test_degenerate_denominator_is_one_rule(ref):
                    table.reflection, table.phase_t, table.tau_t, table.tau_r):
         assert np.isnan(column[0])
         assert np.isfinite(column[1])
-    for report in (ce.group_delay_analytic(0.0, params, crafted),
-                   ce.group_delay_fd(0.0, params, crafted)):
-        assert math.isnan(report.tau_t) and math.isnan(report.tau_r)
+    report = ce.group_delay_analytic(0.0, params, crafted)
+    assert math.isnan(report.tau_t) and math.isnan(report.tau_r)
     for fn in (ce.c_plus, ce.transmitted_amplitude):
         assert np.isnan(fn(np.array([0.0, om]), params, crafted)[0])
         with pytest.raises(ce.DegenerateDenominatorError, match="denominator"):
