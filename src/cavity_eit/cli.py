@@ -211,7 +211,7 @@ def _csv(header: str, *columns) -> bytes:
     return header.encode() + b"\n" + b"".join(blocks)
 
 
-def _emit(data: bytes, out: str) -> None:
+def _emit(data: bytes, out: str | Path) -> None:
     if out == "-":
         sys.stdout.flush()
         sys.stdout.buffer.write(data)
@@ -220,6 +220,10 @@ def _emit(data: bytes, out: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "wb") as fh:
             fh.write(data)
+
+
+def _emit_json(doc: dict, out: str | Path) -> None:
+    _emit(json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n", out)
 
 
 def _note(msg: str) -> None:
@@ -252,7 +256,7 @@ def _powers_uw(raw: str | None) -> list[float]:
 #
 # Each data command writes its output and returns the record of the values
 # it resolved (parameters, grid, powers, pulse, step); a figure bundle writes
-# that record to its sidecar, so the sidecar replays the command.
+# that record to its sidecar under the run's command, so the sidecar replays it.
 
 
 def _cmd_steady_state(args) -> dict:
@@ -265,12 +269,12 @@ def _cmd_steady_state(args) -> dict:
         "q0_m": st.mirror_displacement,
         "alpha_si": st.alpha,
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n", args.out)
+    _emit_json(doc, args.out)
     _note(
         f"steady-state: photon_number={st.photon_number:.6e} "
         f"alpha={st.alpha:.6e} -> {args.out}"
     )
-    return {"command": args.command, "params": _param_dict(params, drive)}
+    return {"params": _param_dict(params, drive)}
 
 
 def _make_grid(args, params: SystemParams) -> np.ndarray:
@@ -301,7 +305,6 @@ def _cmd_spectrum(args) -> dict:
         f"delta/omega_m={table.delta[i_min] / params.mirror_freq:.6f} -> {args.out}"
     )
     return {
-        "command": args.command,
         "params": _param_dict(params, drive),
         "grid": {
             "min": args.grid_min, "max": args.grid_max, "n": args.grid_n, "unit": "mirror_freq"
@@ -309,12 +312,12 @@ def _cmd_spectrum(args) -> dict:
     }
 
 
-def _run_power_sweep(args, strict_single_point: bool) -> dict:
+def _cmd_power_sweep(args) -> dict:
     params, drive = _resolve_params(args)
     powers_uw = _powers_uw(args.powers_uw)
     delta = args.delta_over_omega_m * params.mirror_freq
     points = power_sweep([p * 1e-6 for p in powers_uw], delta, params)
-    if strict_single_point and len(points) == 1:
+    if args.command == "delay-sweep" and len(points) == 1:
         p = points[0]
         if math.isnan(p.tau_t) or math.isnan(p.tau_r):
             raise UndefinedDelayError(
@@ -329,19 +332,10 @@ def _run_power_sweep(args, strict_single_point: bool) -> dict:
         f"-> {args.out}"
     )
     return {
-        "command": args.command,
         "params": _param_dict(params, drive),
         "powers_uw": powers_uw,
         "delta_over_omega_m": args.delta_over_omega_m,
     }
-
-
-def _cmd_delay_sweep(args) -> dict:
-    return _run_power_sweep(args, strict_single_point=True)
-
-
-def _cmd_width_sweep(args) -> dict:
-    return _run_power_sweep(args, strict_single_point=False)
 
 
 def _cmd_dynamics(args) -> dict:
@@ -371,7 +365,6 @@ def _cmd_dynamics(args) -> dict:
         f"-> {args.out}"
     )
     return {
-        "command": args.command,
         "params": _param_dict(params, drive),
         "pulse": {
             "shape": pulse.shape,
@@ -391,8 +384,8 @@ def _phase_unwrap(spectrum_csv: Path, out: Path) -> dict:
         spectrum_csv, delimiter=",", skiprows=1, usecols=(0, 1, 6), ndmin=2, unpack=True
     )
     header = "delta_rad_s,delta_over_omega_m,phase_t_unwrapped_rad"
-    _emit(_csv(header, delta, delta_over_omega_m, np.unwrap(phase)), str(out))
-    return {"command": "phase-unwrap"}
+    _emit(_csv(header, delta, delta_over_omega_m, np.unwrap(phase)), out)
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +484,6 @@ def emit_figure_bundle(figure_id: str, out_dir: str | Path) -> list[Path]:
             f"figure id must be one of {', '.join(FIGURE_IDS)}, got {figure_id!r}"
         )
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     parser = _build_parser()
     written: list[Path] = []
     runs = []
@@ -502,20 +494,16 @@ def emit_figure_bundle(figure_id: str, out_dir: str | Path) -> list[Path]:
         else:
             args = parser.parse_args([command, *flags, "--out", str(path)])
             record = args.func(args)
-        runs.append({**record, "output": name})
+        runs.append({**record, "command": command, "output": name})
         written.append(path)
 
     config_path = out / f"{figure_id}_config.json"
-    sidecar = {"figure": figure_id, "runs": runs}
-    _emit(json.dumps(sidecar, indent=2, sort_keys=True).encode() + b"\n", str(config_path))
+    _emit_json({"figure": figure_id, "runs": runs}, config_path)
     written.append(config_path)
 
     report_path = out / "comparison_report.json"
     params, _ = reference_defaults()
-    _emit(
-        json.dumps(comparison_report(params), indent=2, sort_keys=True).encode() + b"\n",
-        str(report_path),
-    )
+    _emit_json(comparison_report(params), report_path)
     written.append(report_path)
     return written
 
@@ -556,7 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-n", type=int, default=2001, help="number of grid points")
     p.set_defaults(func=_cmd_spectrum)
 
-    for name, fn in (("delay-sweep", _cmd_delay_sweep), ("width-sweep", _cmd_width_sweep)):
+    for name in ("delay-sweep", "width-sweep"):
         p = sub.add_parser(name, help="delays and transparency width vs pump power as CSV")
         common(p)
         p.add_argument(
@@ -569,7 +557,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default=1.0,
             help="probe detuning in units of mirror_freq",
         )
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_power_sweep)
 
     p = sub.add_parser("dynamics", help="pulsed-probe time evolution as CSV")
     common(p)
@@ -602,10 +590,7 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         return 0
-    except ParameterError as exc:
-        _note(f"error: {exc}")
-        return 1
-    except OSError as exc:
+    except (ParameterError, OSError) as exc:
         _note(f"error: {exc}")
         return 1
     except NUMERICAL_ERRORS as exc:

@@ -450,7 +450,6 @@ def integrate(
 def reconstruct_displacement(traj: Trajectory, steady: SteadyState, delta: float) -> Trajectory:
     """Fill q_total(t) = q0 + 2*Re[q_plus(t) * exp(-i*delta*t)].
 
-    The probe amplitude is already part of the trajectory through the forcing.
     The real part is written out as Re q_plus cos + Im q_plus sin in float64
     ufuncs, so no complex multiply, whose parts a machine may fuse, enters.
     """

@@ -122,12 +122,12 @@ def derive(params: SystemParams, drive: DriveParams) -> DerivedConstants:
     )
 
 
-def reference_defaults(pump_power: float = 5e-6) -> tuple[SystemParams, DriveParams]:
+def reference_defaults() -> tuple[SystemParams, DriveParams]:
     """Membrane-in-the-middle configuration used for all bundled figure data.
 
     L = 6.7 cm, lambda = 1064 nm, m = 40 ng, omega_m = 2*pi*134 kHz,
     gamma_m = 0.76 rad/s, kappa = omega_m/10, detuning = omega_m, and a
-    5 microwatt pump unless overridden.
+    5 microwatt pump.
     """
     omega_m = 2.0 * math.pi * 134e3
     params = SystemParams(
@@ -139,12 +139,13 @@ def reference_defaults(pump_power: float = 5e-6) -> tuple[SystemParams, DrivePar
         cavity_decay=omega_m / 10.0,
         effective_detuning=omega_m,
     )
-    return params, DriveParams(pump_power=pump_power)
+    return params, DriveParams(pump_power=5e-6)
 
 
-# JSON keys accepted by load_params.  Convenience keys are converted to SI
-# with a single multiplication each so the conversion is exact to double
-# precision; each maps onto the base field named in the second column.
+# JSON keys accepted by load_params besides the SI field names.  Each
+# convenience key maps onto the base field named in the second column and is
+# converted by one correctly rounded multiplication by an inexact constant, so
+# {"pump_power_uw": 5} loads as 4.9999999999999996e-06, one ulp below 5e-06.
 _CONVENIENCE_KEYS = {
     "mirror_freq_hz": ("mirror_freq", 2.0 * math.pi),
     "wavelength_nm": ("wavelength", 1e-9),
@@ -188,26 +189,18 @@ def load_params(
     values: dict[str, float] = {}
 
     for key, raw in doc.items():
-        if key in _CONVENIENCE_KEYS:
-            field, scale = _CONVENIENCE_KEYS[key]
-            value = _as_number(key, raw) * scale
-        elif key in _SYSTEM_KEYS or key in _DRIVE_KEYS:
-            field = key
-            value = _as_number(key, raw)
-        else:
+        field, scale = _CONVENIENCE_KEYS.get(key, (key, 1.0))
+        if field not in _SYSTEM_KEYS and field not in _DRIVE_KEYS:
             raise ParameterError(f"unknown parameter key {key!r}")
+        value = _as_number(key, raw) * scale
         if field in values:
             raise ParameterError(
                 f"parameter {field!r} specified more than once (key {key!r})"
             )
         values[field] = value
 
-    system_overrides = {k: v for k, v in values.items() if k in _SYSTEM_KEYS}
-    drive_overrides = {k: v for k, v in values.items() if k in _DRIVE_KEYS}
-    if system_overrides:
-        params = replace(params, **system_overrides)
-    if drive_overrides:
-        drive = replace(drive, **drive_overrides)
+    params = replace(params, **{k: v for k, v in values.items() if k in _SYSTEM_KEYS})
+    drive = replace(drive, **{k: v for k, v in values.items() if k in _DRIVE_KEYS})
     return params, drive
 
 

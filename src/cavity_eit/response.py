@@ -106,6 +106,16 @@ def _pieces(delta: ArrayLike, params: SystemParams, alpha: float):
     return num, dnum, den, dden
 
 
+def _check_detuning(delta: float, params: SystemParams) -> None:
+    """Refuse |delta| >= omega_c: the lower sideband omega_c - |delta| is not a light field."""
+    if not math.isfinite(delta):
+        raise ParameterError(f"probe detuning must be finite, got {delta!r}")
+    omega_c = derive(params, DriveParams(pump_power=0.0)).coupling_freq
+    if abs(delta) >= omega_c:  # m*delta^4 in den overflows from about 4.6e79 rad/s
+        raise ParameterError(f"probe detuning must be below omega_c = {omega_c!r} rad/s "
+                             f"in magnitude, got {delta!r}")
+
+
 def _mask_floor(tau: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """NaN where |eps| is below AMPLITUDE_FLOOR or itself NaN."""
     return np.where(np.abs(eps) >= AMPLITUDE_FLOOR, tau, np.nan)
@@ -180,6 +190,7 @@ def spectrum(
         raise ParameterError("delta grid must be a non-empty 1-D array")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ParameterError("delta grid must be strictly increasing")
+    _check_detuning(float(np.abs(grid[[0, -1]]).max()), params)
 
     eps_t, tau_t, tau_r, _ = _response(grid, params, steady.alpha)
     return SpectrumTable(
@@ -211,8 +222,7 @@ def power_sweep(
     The steady state is re-solved for every power.  Powers must be
     non-negative and sorted ascending; undefined delays propagate as NaN.
     """
-    if not math.isfinite(delta):
-        raise ParameterError(f"probe detuning must be finite, got {delta!r}")
+    _check_detuning(delta, params)
     values = [float(p) for p in powers]
     if not values:
         raise ParameterError("power sweep needs at least one power")

@@ -18,9 +18,10 @@ modules cannot drift apart on its definition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .params import HBAR, DerivedConstants, SystemParams
+from .params import HBAR, DerivedConstants, ParameterError, SystemParams
 
 
 @dataclass(frozen=True)
@@ -40,13 +41,19 @@ def solve_steady(params: SystemParams, derived: DerivedConstants) -> SteadyState
     includes the static radiation-pressure shift by construction.  With
     g < 0 the displacement q0 comes out positive whenever light is in the
     cavity (the mode pushes the membrane toward longer cavity length).
+    Raises ParameterError naming pump_power when alpha is not finite.
     """
     denom = 2.0 * params.cavity_decay + 1j * params.effective_detuning
     c0 = derived.drive_amplitude / denom
-    n = abs(c0) ** 2
     g = derived.coupling_constant
+    try:  # a float power raises OverflowError where a product gives inf
+        n = abs(c0) ** 2
+        alpha = HBAR * g**2 * n
+    except OverflowError:
+        alpha = math.inf
+    if not math.isfinite(alpha):
+        raise ParameterError(f"pump_power too large: alpha = hbar*g^2*|c0|^2 is {alpha!r}")
     q0 = -HBAR * g * n / (params.mirror_mass * params.mirror_freq**2)
-    alpha = HBAR * g**2 * n
     return SteadyState(
         cavity_amp=c0,
         photon_number=n,

@@ -192,6 +192,10 @@ def test_delay_sweep_single_undefined_point_exits_2(tmp_path):
     out = tmp_path / "d.csv"
     assert run("delay-sweep", "--powers-uw", "0", "--out", str(out)) == 2
     assert not out.exists()
+    # width-sweep writes the same point, its undefined delay as NaN
+    assert run("width-sweep", "--powers-uw", "0", "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 1 and math.isnan(rows[0][2])
 
 
 def test_delay_sweep_single_defined_point_ok(tmp_path):
@@ -304,6 +308,29 @@ def test_non_finite_grid_bound_rejected(tmp_path, capsys, flags):
     assert run("spectrum", *flags, "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flags[0].split('=')[0]} ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+OUT_OF_RANGE = {
+    # |delta| past the pump's optical frequency; m*delta^4 overflows from about 4.6e79 rad/s
+    "grid-max": ["spectrum", "--grid-max", "1e74"],
+    "grid-min": ["spectrum", "--grid-min=-1e300"],
+    "sweep-detuning": ["delay-sweep", "--powers-uw", "1", "--delta-over-omega-m", "1e80"],
+    # a pump whose interaction strength alpha overflows float64
+    "steady-state-power": ["steady-state", "--power-uw", "1e305"],
+    "spectrum-power": ["spectrum", "--power-uw", "1e305"],
+    "sweep-power": ["delay-sweep", "--powers-uw", "1e305"],
+    "dynamics-power": ["dynamics", "--power-uw", "1e305"],
+}
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_out_of_range_input_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert not out.exists()
 

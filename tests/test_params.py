@@ -144,7 +144,7 @@ def test_convenience_conversions_exact(key, value, field, factor):
     got = getattr(params, field, None)
     if got is None:
         got = getattr(drive, field)
-    assert got == value * factor  # one multiplication, exact in doubles
+    assert got == value * factor  # one correctly rounded multiplication
 
 
 def test_unknown_key_rejected():

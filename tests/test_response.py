@@ -348,6 +348,26 @@ def test_power_sweep_zero_power_gap(ref):
     assert pt.gamma_width == params.mirror_damping / 2
 
 
+def test_detuning_domain_ends_at_optical_frequency(ref, steady_5uw):
+    # past omega_c = 2*pi*c/lambda the lower sideband is not a light field
+    params, _ = ref
+    omega_c = 2.0 * math.pi * C_LIGHT / params.wavelength
+    for delta in (omega_c, -omega_c):
+        with pytest.raises(ce.ParameterError, match="probe detuning"):
+            ce.spectrum([delta], params, steady_5uw)
+        with pytest.raises(ce.ParameterError, match="probe detuning"):
+            ce.power_sweep([0.0, 5e-6], delta, params)
+    # just inside, every value is finite but tau_t, masked because |eps_T| ~ 1e-10
+    inside = np.nextafter(omega_c, 0)
+    table = ce.spectrum([-inside, inside], params, steady_5uw)
+    for column in (table.eps_t, table.transmission, table.reflection, table.phase_t, table.tau_r):
+        assert np.isfinite(column).all()
+    assert (np.abs(table.eps_t) < ce.AMPLITUDE_FLOOR).all() and np.isnan(table.tau_t).all()
+    for delta in (-inside, inside):
+        for point in ce.power_sweep([0.0, 5e-6], delta, params):
+            assert math.isfinite(point.tau_r) and math.isfinite(point.gamma_width)
+
+
 # --- phase unwrapping -----------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -83,3 +84,17 @@ def test_alpha_linear_in_power(ref, scale):
     base = steady_at(params, 1e-6).alpha
     scaled = steady_at(params, scale * 1e-6).alpha
     assert scaled == pytest.approx(scale * base, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "changes,power",
+    [
+        ({}, 1e299),  # the pump rate eps_c overflows to inf
+        # a narrow resonant cavity: |c0| is finite but the float power |c0|**2 raises
+        ({"cavity_decay": 1e-3, "effective_detuning": 0.0}, 1e290),
+    ],
+)
+def test_non_finite_alpha_rejected(ref, changes, power):
+    params = dataclasses.replace(ref[0], **changes)
+    with pytest.raises(ce.ParameterError, match="pump_power"):
+        steady_at(params, power)
