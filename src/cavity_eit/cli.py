@@ -236,7 +236,7 @@ def _resolve_params(args) -> tuple[SystemParams, DriveParams]:
         params, drive = load_params(args.config)
     else:
         params, drive = reference_defaults()
-    if args.power_uw is not None:
+    if getattr(args, "power_uw", None) is not None:
         drive = replace(drive, pump_power=args.power_uw * 1e-6)
     return params, drive
 
@@ -528,9 +528,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, power=True):
         p.add_argument("--config", help="JSON parameter file (SI keys or *_hz/*_nm/*_ng/*_uw)")
-        p.add_argument("--power-uw", type=float, help="pump power in microwatts (overrides config)")
+        if power:  # the sweeps take their powers from --powers-uw only
+            p.add_argument("--power-uw", type=float, help="pump power in microwatts (overrides config)")
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
 
     p = sub.add_parser("steady-state", help="probe-off working point as JSON")
@@ -546,7 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name in ("delay-sweep", "width-sweep"):
         p = sub.add_parser(name, help="delays and transparency width vs pump power as CSV")
-        common(p)
+        common(p, power=False)
         p.add_argument(
             "--powers-uw",
             help="comma-separated pump powers in microwatts (default 20 points in 0.1..5)",

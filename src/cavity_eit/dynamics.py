@@ -27,12 +27,16 @@ linear recurrence
 
 (RK4: q = 2, P and W_j polynomials in Z = -h*M; exponential: q = 1,
 P = e^Z, phi-function weights W_j), and one engine solves it in blocks by
-a prefix scan instead of a step-by-step loop.  Rules and engine are
-fixed-order float64 polynomials in the real form of M, free of BLAS and
-LAPACK.  Sharing them, the methods are no oracles for each other; the
-per-step loops in the tests are.  The engine makes one forcing call per
-block: a PulseSpec's envelope takes the block's time array (a plain
-callable is still called once per time).  The envelope's exponential is
+a prefix scan instead of a step-by-step loop.  The output keeps only
+every stride-th state, so c steps, c a divisor of the stride, are first
+composed into one step of the same form, (P^c, K) with c*q samples, and
+the scan forms only the states at multiples of c.  Rules, fold and engine
+are fixed-order float64 polynomials in the real form of M, free of BLAS
+and LAPACK.  Sharing them, the methods are no oracles for each other; the
+per-step loops in the tests are.  The forcing is sampled at every step's
+times all the same, in one call per _BLOCK steps or fewer: a PulseSpec's
+envelope takes an array of times (a plain callable is still called once
+per time).  The envelope's exponential is
 _exp, a range reduction and a Taylor polynomial in exactly rounded float64
 array ops: numpy's SIMD exp and cosh, and libm's, differ in the last bit
 from machine to machine, and a call to libm per sample is slow.
@@ -69,12 +73,17 @@ MAX_STEP_RADIUS = 0.1
 METHOD_RK4 = "rk4"
 METHOD_EXPM = "expm"
 
-# Steps per block of the time-stepping scan.  Its work arrays, the sampled
-# forcing among them, hold one block, so memory does not grow with the step
-# count.  Each block pays a fixed cost in numpy calls, the one forcing call
-# among them, while the scan does log2(block) levels of work per step; a
-# block this long spreads the fixed cost over thousands of steps.
+# Steps per block of the time-stepping scan, and the most steps whose forcing
+# one call samples.  The work arrays hold one block or one call, so memory
+# does not grow with the step count.  Each block pays a fixed cost in numpy
+# calls while the scan does log2(block) levels of work per step; a block this
+# long spreads the fixed cost over thousands of steps.
 _BLOCK = 4096
+
+# The most steps folded into one when only every stride-th state is kept: the
+# fold is the largest divisor of the stride up to this.  Each folded step costs
+# the scan as much as a single one, and its forcing term has c*q + 1 columns.
+_FOLD = 16
 
 # E_c: the real-form columns that act on (Re, Im) of the probe-driven c
 # component, through which both step rules take the forcing.
@@ -336,6 +345,56 @@ def _expm_rule(matrix: SystemMatrix, h: float) -> tuple[np.ndarray, np.ndarray]:
     return e[:n, :n], np.concatenate([phi1 - phi2, phi2], axis=1)
 
 
+def _fold(p: np.ndarray, w: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """c consecutive steps of the rule (P, W) as one step (P^c, K) with q' = c*q samples.
+
+    Step i of the c takes samples q*i + j, j = 0..q, so K_m = sum of
+    P^(c-1-i) W_j over the i, j with q*i + j = m, added in order of i.
+    """
+    q = w.shape[1] // 2 - 1
+    pk = _powers(p, c + 1)
+    k = np.zeros((len(p), 2 * (c * q + 1)))
+    for i in range(c):
+        k[:, 2 * q * i : 2 * q * (i + 1) + 2] += _apply(pk[c - 1 - i], w)
+    return pk[c], k
+
+
+def _scan(p, w, at, k0, n, every, v, f, per_call):
+    """n steps of V' = P V + sum_j W_j f_(k0 + q*i + j), j = 0..q, from V = v and f_k0 = f.
+
+    at(a, b) samples the forcing f_k at the sample indices a <= k < b,
+    called on at most per_call steps at a time; the first sample of each
+    call is the last of the one before.  Steps are solved in blocks of
+    _BLOCK: the forcing terms of a block's steps, the carried state added
+    as P V to the first of them, then a doubling prefix scan with P, P^2,
+    P^4, ...  Returns the states after steps every, 2*every, ... (one
+    array of columns per block), the state after step n and f_(k0 + q*n).
+    """
+    q = w.shape[1] // 2 - 1
+    pows = [p]
+    while len(pows) < (min(n, _BLOCK) - 1).bit_length():
+        pows.append(_apply(pows[-1], pows[-1]))
+
+    kept = []
+    for lo in range(0, n, _BLOCK):
+        y = np.empty((len(p), min(_BLOCK, n - lo)))
+        for a in range(0, y.shape[1], per_call):
+            b = min(a + per_call, y.shape[1])
+            fs = np.empty(q * (b - a) + 1, dtype=complex)
+            fs[0], fs[1:] = f, at(k0 + q * (lo + a) + 1, k0 + q * (lo + b) + 1)
+            f = fs[-1]
+            # sample j of step i is fs[q*i + j]; its (Re, Im) sit at 2*(q*i + j) + (0, 1)
+            pairs = fs.view(float)
+            y[:, a:b] = _apply(w, [pairs[r :: 2 * q][: b - a] for r in range(w.shape[1])])
+        y[:, :1] += _apply(p, v)
+        # after the carry and the scan, y[:, i] is the state after step lo + i + 1
+        for k, pk in enumerate(pows[: (y.shape[1] - 1).bit_length()]):
+            y[:, 2**k :] += _apply(pk, y[:, : -(2**k)])
+        v = y[:, -1:]
+        kept.append(y[:, -(lo + 1) % every :: every].copy())  # a copy, so the block is freed
+    return kept, v, f
+
+
 def _advance(
     p: np.ndarray,
     w: np.ndarray,
@@ -345,47 +404,36 @@ def _advance(
     n_steps: int,
     stride: int,
 ) -> Trajectory:
-    """Solve V_{n+1} = P V_n + sum_j W_j f(t0 + (n + j/q) h) from V_0 = 0, j = 0..q.
+    """Solve V_{n+1} = P V_n + sum_j W_j f(t0 + (n + j/q) h) from V_0 = 0, j = 0..q,
+    keeping the states after every stride-th step and after the last.
 
     P and the columns W_j come in real form, acting on (Re, Im) pairs, so
     the solve is float64 multiplies and adds in a fixed order and its bytes
     do not depend on whether the machine fuses the parts of a complex
-    product.  Steps are taken in blocks of _BLOCK.  A block samples the
-    forcing in one call at its distinct times after the first, whose sample
-    the previous block carries over, forms each step's forcing term, adds
-    the previous block's last state as P V to the first of them, and solves
-    the recurrence by a doubling prefix scan with P, P^2, P^4, ...  Only the
-    recorded steps are kept, so memory stays O(block) for any step count.
+    product.  Only the kept states are needed, so c steps, c the largest
+    divisor of stride up to _FOLD, are folded into one (_fold) and _scan
+    solves n_steps // c such steps; the last n_steps % c steps, which
+    hold no multiple of stride, take the rule itself.  Every step's
+    forcing still enters, sampled once at each time t0 + k h/q, in calls
+    of at most _BLOCK steps, so memory stays O(block) for any step count.
     """
     q = w.shape[1] // 2 - 1
-    pows = [p]
-    while 2 ** len(pows) < _BLOCK:
-        pows.append(_apply(pows[-1], pows[-1]))
+    c = max(d for d in range(1, _FOLD + 1) if stride % d == 0)
+    n = n_steps // c
 
-    last, f_prev, steps, states = np.zeros((len(p), 1)), sample(np.array([t0]))[0], [], []
-    for lo in range(0, n_steps, _BLOCK):
-        n = min(_BLOCK, n_steps - lo)
-        fs = np.empty(q * n + 1, dtype=complex)
-        fs[0], fs[1:] = f_prev, sample(t0 + np.arange(q * lo + 1, q * (lo + n) + 1) / q * h)
-        f_prev = fs[-1]
-        # sample j of step i is fs[q*i + j]; its (Re, Im) sit at 2*(q*i + j) + (0, 1)
-        pairs = fs.view(float)
-        y = _apply(w, [pairs[r :: 2 * q][:n] for r in range(w.shape[1])])
-        y[:, :1] += _apply(p, last)
-        # after the carry and the scan, y[:, i] is the state after step lo + i + 1
-        for k, pk in enumerate(pows[: (n - 1).bit_length()]):
-            y[:, 2**k :] += _apply(pk, y[:, : -(2**k)])
-        last = y[:, -1:]
-        first = -(lo + 1) % stride  # y's column of the block's first multiple of stride
-        steps.append(np.arange(lo + 1 + first, lo + n + 1, stride))
-        states.append(y[:, first::stride].copy())  # a copy, so the block itself is freed
+    def at(a: int, b: int) -> Sequence[complex]:
+        return sample(t0 + np.arange(a, b) / q * h)
+
+    v = np.zeros((len(p), 1))
+    kept, v, f = _scan(*_fold(p, w, c), at, 0, n, stride // c, v, at(0, 1)[0], _BLOCK // c)
+    _, v, _ = _scan(p, w, at, q * c * n, n_steps % c, stride, v, f, _BLOCK)
+    steps = np.arange(stride, n_steps + 1, stride)
     if n_steps % stride:
-        steps.append([n_steps])
-        states.append(last)
+        steps, kept = np.append(steps, n_steps), [*kept, v]
 
-    v = np.concatenate([np.zeros((len(p), 1)), *states], axis=1)
+    v = np.concatenate([np.zeros((len(p), 1)), *kept], axis=1)
     q_plus, c_plus = np.ascontiguousarray(v.T).view(complex).T.copy()
-    times = np.concatenate(([t0], t0 + np.concatenate(steps) * h))
+    times = np.concatenate(([t0], t0 + steps * h))
     return Trajectory(times=times, q_plus=q_plus, c_plus=c_plus)
 
 
@@ -409,7 +457,10 @@ def integrate(
     t_start (QUIET_START_WIDTHS widths early); a callable is not checked.
 
     The output is decimated to at most ``samples`` points regardless of
-    the integration step; the first and last step are always included.
+    the integration step: the state after every stride-th step, stride =
+    ceil(n_steps / (samples - 1)), and always the first and last.  States
+    in between are never formed, but every step's forcing enters, sampled
+    once at each of its times.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):

@@ -178,7 +178,7 @@ def load_params(
                 doc = json.load(fh)
         except OSError as exc:
             raise ParameterError(f"cannot read parameter file {source}: {exc}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
             raise ParameterError(f"parameter file {source} is not valid JSON: {exc}")
     else:
         doc = dict(source)
@@ -207,4 +207,7 @@ def load_params(
 def _as_number(key: str, raw: object) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ParameterError(f"parameter {key!r} must be a number, got {raw!r}")
-    return float(raw)
+    try:
+        return float(raw)
+    except OverflowError:  # an int past the float range; the message avoids its digits
+        raise ParameterError(f"parameter {key!r} is out of the float range") from None

@@ -41,7 +41,8 @@ def solve_steady(params: SystemParams, derived: DerivedConstants) -> SteadyState
     includes the static radiation-pressure shift by construction.  With
     g < 0 the displacement q0 comes out positive whenever light is in the
     cavity (the mode pushes the membrane toward longer cavity length).
-    Raises ParameterError naming pump_power when alpha is not finite.
+    Raises ParameterError naming pump_power when alpha is not finite, and
+    naming mirror_freq when its square overflows.
     """
     denom = 2.0 * params.cavity_decay + 1j * params.effective_detuning
     c0 = derived.drive_amplitude / denom
@@ -53,7 +54,11 @@ def solve_steady(params: SystemParams, derived: DerivedConstants) -> SteadyState
         alpha = math.inf
     if not math.isfinite(alpha):
         raise ParameterError(f"pump_power too large: alpha = hbar*g^2*|c0|^2 is {alpha!r}")
-    q0 = -HBAR * g * n / (params.mirror_mass * params.mirror_freq**2)
+    try:
+        q0 = -HBAR * g * n / (params.mirror_mass * params.mirror_freq**2)
+    except OverflowError:
+        raise ParameterError(f"mirror_freq too large: mirror_freq**2 overflows, "
+                             f"got {params.mirror_freq!r}") from None
     return SteadyState(
         cavity_amp=c0,
         photon_number=n,

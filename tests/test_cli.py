@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -335,6 +336,29 @@ def test_out_of_range_input_rejected(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+# each text is a whole config file; the second column matches the key the error must
+# name (json refuses an int past Python's digit limit, where it has one, itself)
+OVERFLOWING_CONFIGS = {
+    "mirror-freq": ('{"mirror_freq": 1e200}', "mirror_freq"),  # mirror_freq**2 overflows
+    "int-401-digits": ('{"pump_power": 1%s}' % ("0" * 400), "pump_power"),
+    "negative-int-hz": ('{"mirror_freq_hz": -1%s}' % ("0" * 400), "mirror_freq_hz"),
+    "int-past-digit-limit": ('{"pump_power": 1%s}' % ("0" * 5000), "JSON|pump_power"),
+}
+
+
+@pytest.mark.parametrize("command", ["steady-state", "spectrum", "dynamics"])
+@pytest.mark.parametrize("text,key", OVERFLOWING_CONFIGS.values(), ids=OVERFLOWING_CONFIGS.keys())
+def test_overflowing_config_rejected(tmp_path, capsys, command, text, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    assert run(command, "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(key, err)
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_dynamics_expm_matches_rk4(tmp_path):
     kick = FIGURE_RUNS["fig9"][0][1]
     assert run("dynamics", *kick, "--out", str(tmp_path / "rk4.csv")) == 0
@@ -356,6 +380,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run() == 1
     assert run("--help") == 0
     assert run("spectrum", "--grid-n", "0") == 1
+    # the sweeps take their powers from --powers-uw alone, so --power-uw is no flag of theirs
+    for command in ("delay-sweep", "width-sweep"):
+        assert run(command, "--power-uw", "1e305", "--out", str(tmp_path / "x.csv")) == 1
+        assert "unrecognized arguments: --power-uw" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
     assert run("steady-state", "--config", str(tmp_path / "missing.json")) == 1
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -453,10 +482,10 @@ BUNDLE_SHA256 = {
     "fig8/fig8_width_sweep.csv": "7a124f7aaecf94f45ae77561464240ef887148e392327be5135cdb46aaff013a",
     "fig9/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
     "fig9/fig9_config.json": "e3151a29ccbf5d6075fe30d6d3db0d464e460d261eeb0a6aab303f06f2938645",
-    "fig9/fig9_dynamics.csv": "c0129729f0547ce2caf73a532922a7b248a63a224240739b53e7dee31ed375d7",
+    "fig9/fig9_dynamics.csv": "ac277c6da3a4bbd7bcd5ecf97e4198792f0468baf862507355ae9f04f1601d01",
     "fig10/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
     "fig10/fig10_config.json": "1ab4e809c8dbd4d815e91ea784f206ef4e4564406b05471e89db6221b1eaf8f0",
-    "fig10/fig10_dynamics.csv": "c0129729f0547ce2caf73a532922a7b248a63a224240739b53e7dee31ed375d7",
+    "fig10/fig10_dynamics.csv": "ac277c6da3a4bbd7bcd5ecf97e4198792f0468baf862507355ae9f04f1601d01",
 }
 
 

@@ -583,6 +583,26 @@ def across_block_edges(method, M, n_steps):
 B = dynamics._BLOCK
 BLOCK_EDGES = [1, 3, B - 1, B, B + 1, 5 * B + 7]
 
+# Output strides: c steps, c the largest divisor of the stride up to _FOLD, are
+# folded into one, and the last n_steps % c steps are taken singly.
+F = dynamics._FOLD
+# 1, 2, a prime at most F, a prime above it (no fold), F, a multiple of F, and
+# one above B (4100 = 2^2 5^2 41, folding 10 steps)
+FOLD_STRIDES = [1, 2, 13, 17, F, 3 * F, B + 4]
+
+
+def fold_of(stride):
+    return max(d for d in range(1, F + 1) if stride % d == 0)
+
+
+def strided_run(stride, remainder):
+    """(n_steps, samples) whose output stride is ``stride``, with n_steps % c == 0 or not."""
+    m = max(3, 600 // stride)  # stride*m - e steps at m + 1 samples have this stride, 0 <= e < m
+    n_steps = stride * m - (1 if remainder else 0)
+    samples = m + 1
+    assert -(-n_steps // (samples - 1)) == stride
+    return n_steps, samples
+
 
 @pytest.mark.parametrize("shape", PULSE_SHAPES)
 def test_expm_matches_loop_for_each_shape(matrix_5uw, shape):
@@ -638,6 +658,45 @@ def test_matches_loop_at_worst_conditioned_eigenbasis(ref, method):
     der = ce.derive(params, ce.DriveParams(pump_power=2.7e-6))
     M = ce.build_matrix(params.mirror_freq, params, der, steady_at(params, 2.7e-6))
     across_block_edges(method, M, 2 * B + 3)
+    for remainder in (False, True):  # eight steps folded into one, with or without a 7-step tail
+        n_steps, samples = strided_run(8, remainder)
+        dt = 0.05 / M.spectral_radius
+        pulse = scalar_forcing(ce.PulseSpec("sech", 1.0, n_steps * dt / 8, n_steps * dt / 2))
+        assert_matches_loop(method, M, pulse, (0.0, n_steps * dt), dt, samples)
+
+
+@pytest.mark.parametrize("remainder", [False, True], ids=["whole", "tail"])
+@pytest.mark.parametrize("stride", FOLD_STRIDES)
+@pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
+def test_matches_loop_at_each_stride(matrix_5uw, method, stride, remainder):
+    _, _, M = matrix_5uw
+    n_steps, samples = strided_run(stride, remainder)
+    c = fold_of(stride)
+    assert (n_steps % c != 0) == (remainder and c > 1)
+    dt = 0.05 / M.spectral_radius
+    t_end = n_steps * dt
+    pulse = ce.PulseSpec("sech", 1.0, t_end / 60, t_end / 2)
+    assert_matches_loop(method, M, pulse, (0.0, t_end), dt, samples)
+
+
+@pytest.mark.parametrize("stride", [8, B + 4])
+@pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
+def test_forcing_sampled_once_at_every_time(matrix_5uw, method, stride):
+    # folding skips states, never samples: t0 + k h/q, k = 0..q*n_steps, each once
+    _, _, M = matrix_5uw
+    n_steps, samples = strided_run(stride, remainder=True)
+    t0, dt = 3e-6, 0.05 / M.spectral_radius
+    t1 = t0 + n_steps * dt
+    times = []
+
+    def logged(t):
+        times.append(t)
+        return math.sin(t / dt)
+
+    ce.integrate(M, logged, (t0, t1), dt, method=method, samples=samples)
+    q = 2 if method == METHOD_RK4 else 1
+    h = (t1 - t0) / n_steps
+    assert sorted(times) == [t0 + k / q * h for k in range(q * n_steps + 1)]
 
 
 @pytest.mark.parametrize("step_radius", [3.0, 1000.0])
