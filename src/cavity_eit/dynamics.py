@@ -33,7 +33,10 @@ composed into one step of the same form, (P^c, K) with c*q samples, and
 the scan forms only the states at multiples of c.  Rules, fold and engine
 are fixed-order float64 polynomials in the real form of M, free of BLAS
 and LAPACK.  Sharing them, the methods are no oracles for each other; the
-per-step loops in the tests are.  The forcing is sampled at every step's
+per-step loops in the tests are.  Each W_j is one real column, the
+response to a real unit drive: a real envelope enters through it alone,
+and a complex drive's imaginary part as i times its response, since every
+P and W commutes with i.  The forcing is sampled at every step's
 times all the same, in one call per _BLOCK steps or fewer: a PulseSpec's
 envelope takes an array of times (a plain callable is still called once
 per time).  The envelope's exponential is
@@ -85,9 +88,9 @@ _BLOCK = 4096
 # the scan as much as a single one, and its forcing term has c*q + 1 columns.
 _FOLD = 16
 
-# E_c: the real-form columns that act on (Re, Im) of the probe-driven c
-# component, through which both step rules take the forcing.
-_FORCED = slice(2, 4)
+# E_c: the real-form column of Re c, the probe-driven component, through which
+# both step rules take a real unit drive (_scan takes Im f as i times that).
+_FORCED = slice(2, 3)
 
 # Taylor coefficients 1/k!, k < 19, of the exponential step: at spectral radius
 # below 1 the terms left out sum to under 1/19! * 20/19 < 9e-18 (unit roundoff 1.1e-16).
@@ -327,21 +330,21 @@ def _expm_rule(matrix: SystemMatrix, h: float) -> tuple[np.ndarray, np.ndarray]:
         V' = e^Z V + h (phi1 - phi2)(Z) E_c f_n + h phi2(Z) E_c f_{n+1}
 
     e^Z, h phi1(Z) E_c and h phi2(Z) E_c are the top block row of exp(A),
-    A = [[Z, h E_c, 0], [0, 0, 1], [0, 0, 0]] (Van Loan 1978), taken as the
-    Taylor polynomial of A/2^s squared s times, where h*rho(M)/2^s < 1: rho,
-    unlike a norm, does not see the scaling between the q and c units.
+    A = [[Z, h E_c, 0], [0, 0, 1], [0, 0, 0]], n + 2 square (Van Loan 1978),
+    taken as the Taylor polynomial of A/2^s squared s times, h*rho(M)/2^s < 1:
+    rho, unlike a norm, does not see the scaling between the q and c units.
     """
     z = -h * _real_form(matrix.as_array())
     n = len(z)
-    a = np.zeros((n + 4, n + 4))
+    a = np.zeros((n + 2, n + 2))
     a[:n, :n] = z
-    a[:n, n : n + 2] = h * np.eye(n)[:, _FORCED]
-    a[n : n + 2, n + 2 :] = np.eye(2)
+    a[:n, n : n + 1] = h * np.eye(n)[:, _FORCED]
+    a[n, n + 1] = 1.0
     s = max(0, math.frexp(h * matrix.spectral_radius)[1])
     e = _dot(_EXP_TAYLOR, _powers(a / 2**s, len(_EXP_TAYLOR)))
     for _ in range(s):
         e = _apply(e, e)
-    phi1, phi2 = e[:n, n : n + 2], e[:n, n + 2 :]
+    phi1, phi2 = e[:n, n : n + 1], e[:n, n + 1 :]
     return e[:n, :n], np.concatenate([phi1 - phi2, phi2], axis=1)
 
 
@@ -351,11 +354,11 @@ def _fold(p: np.ndarray, w: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]
     Step i of the c takes samples q*i + j, j = 0..q, so K_m = sum of
     P^(c-1-i) W_j over the i, j with q*i + j = m, added in order of i.
     """
-    q = w.shape[1] // 2 - 1
+    q = w.shape[1] - 1
     pk = _powers(p, c + 1)
-    k = np.zeros((len(p), 2 * (c * q + 1)))
+    k = np.zeros((len(p), c * q + 1))
     for i in range(c):
-        k[:, 2 * q * i : 2 * q * (i + 1) + 2] += _apply(pk[c - 1 - i], w)
+        k[:, q * i : q * (i + 1) + 1] += _apply(pk[c - 1 - i], w)
     return pk[c], k
 
 
@@ -370,7 +373,7 @@ def _scan(p, w, at, k0, n, every, v, f, per_call):
     P^4, ...  Returns the states after steps every, 2*every, ... (one
     array of columns per block), the state after step n and f_(k0 + q*n).
     """
-    q = w.shape[1] // 2 - 1
+    q = w.shape[1] - 1
     pows = [p]
     while len(pows) < (min(n, _BLOCK) - 1).bit_length():
         pows.append(_apply(pows[-1], pows[-1]))
@@ -380,12 +383,16 @@ def _scan(p, w, at, k0, n, every, v, f, per_call):
         y = np.empty((len(p), min(_BLOCK, n - lo)))
         for a in range(0, y.shape[1], per_call):
             b = min(a + per_call, y.shape[1])
-            fs = np.empty(q * (b - a) + 1, dtype=complex)
-            fs[0], fs[1:] = f, at(k0 + q * (lo + a) + 1, k0 + q * (lo + b) + 1)
+            # float unless f or a sample is complex: a callable may switch from call to call
+            fs = np.concatenate([[f], at(k0 + q * (lo + a) + 1, k0 + q * (lo + b) + 1)])
             f = fs[-1]
-            # sample j of step i is fs[q*i + j]; its (Re, Im) sit at 2*(q*i + j) + (0, 1)
-            pairs = fs.view(float)
-            y[:, a:b] = _apply(w, [pairs[r :: 2 * q][: b - a] for r in range(w.shape[1])])
+            # row j, j = 0..q, holds sample j of each step i, fs[q*i + j]
+            xs = np.concatenate([fs[:-1].reshape(-1, q).T, fs[None, q::q]])
+            y[:, a:b] = _apply(w, xs.real)
+            if np.iscomplexobj(xs):  # add i times the response to Im f, in real form
+                yi = _apply(w, xs.imag)
+                y[0::2, a:b] -= yi[1::2]
+                y[1::2, a:b] += yi[0::2]
         y[:, :1] += _apply(p, v)
         # after the carry and the scan, y[:, i] is the state after step lo + i + 1
         for k, pk in enumerate(pows[: (y.shape[1] - 1).bit_length()]):
@@ -407,17 +414,17 @@ def _advance(
     """Solve V_{n+1} = P V_n + sum_j W_j f(t0 + (n + j/q) h) from V_0 = 0, j = 0..q,
     keeping the states after every stride-th step and after the last.
 
-    P and the columns W_j come in real form, acting on (Re, Im) pairs, so
-    the solve is float64 multiplies and adds in a fixed order and its bytes
-    do not depend on whether the machine fuses the parts of a complex
-    product.  Only the kept states are needed, so c steps, c the largest
+    P and the columns W_j come in real form, P acting on (Re, Im) pairs and
+    W_j the response to a real unit drive, so the solve is float64
+    multiplies and adds in a fixed order and its bytes do not depend on
+    whether the machine fuses the parts of a complex product.  Only the kept states are needed, so c steps, c the largest
     divisor of stride up to _FOLD, are folded into one (_fold) and _scan
     solves n_steps // c such steps; the last n_steps % c steps, which
     hold no multiple of stride, take the rule itself.  Every step's
     forcing still enters, sampled once at each time t0 + k h/q, in calls
     of at most _BLOCK steps, so memory stays O(block) for any step count.
     """
-    q = w.shape[1] // 2 - 1
+    q = w.shape[1] - 1
     c = max(d for d in range(1, _FOLD + 1) if stride % d == 0)
     n = n_steps // c
 

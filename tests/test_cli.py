@@ -20,6 +20,7 @@ from cavity_eit.cli import (
     FIGURE_RUNS,
     SPECTRUM_HEADER,
     SWEEP_HEADER,
+    _build_parser,
     _csv,
     emit_figure_bundle,
     main,
@@ -359,6 +360,19 @@ def test_overflowing_config_rejected(tmp_path, capsys, command, text, key):
     assert not out.exists()
 
 
+def test_dynamics_expm_default_step_ignores_stability_limit(tmp_path):
+    # expm has no stability bound: at delta = 0, rho(M) = 9.2e11 1/s would make
+    # RK4's default step 2.2e-14 s, about 2.7e9 steps; expm takes a 64th of the width
+    argv = ["dynamics", "--method", "expm", "--delta-over-omega-m", "0", "--samples", "3"]
+    out = tmp_path / "d.csv"
+    assert run(*argv, "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 3 and np.all(np.isfinite(rows))
+    args = _build_parser().parse_args([*argv, "--out", str(tmp_path / "again.csv")])
+    record = args.func(args)
+    assert record["dt_s"] == record["pulse"]["width_s"] / 64
+
+
 def test_dynamics_expm_matches_rk4(tmp_path):
     kick = FIGURE_RUNS["fig9"][0][1]
     assert run("dynamics", *kick, "--out", str(tmp_path / "rk4.csv")) == 0
@@ -505,6 +519,28 @@ def test_figure_bundle_hashes(bundles):
     assert got == BUNDLE_SHA256
 
 
+# SHA-256 of `dynamics --pulse-shape S --method M --samples 400` at default flags:
+# 5120 steps at stride 13, so 393 folded steps of 13, then an 11-step tail.
+DYNAMICS_SHA256 = {
+    ("sech", "rk4"): "e40fbe6c597a4c5c563ddfe119a63f07e9b12eb6c91292ea887eac44233e0e6a",
+    ("sech", "expm"): "8815f26dffa468e69cd7f8a405ac5382e1b190bd493325c56d62d1c793d59abc",
+    ("gaussian", "rk4"): "d00312132393bcafe0f866156c61222022935d8202f075176f06a5b0f3dcb621",
+    ("gaussian", "expm"): "7d1a9a4de5c440e51ba79699b7db319ed30f79b4a906959a04db3cb9f0548953",
+    ("rectangle", "rk4"): "923f7963e92e45848eddc25103a0a1ec4d8939694269914ef6c26b6f3c4a93ba",
+    ("rectangle", "expm"): "261edcdec958d13c9c0fd3a170b424ec462926bab68fb82b0e8638743671e5c5",
+    ("constant", "rk4"): "0bc2e4ecd3cdbdd6e890ade49baaf1959cf3e5901d200ebc22cddfff3aa57078",
+    ("constant", "expm"): "545c976030aab856eb7f9cd7cc1d8886340c0b9e8ebb1fdf5d3f906b56fae157",
+}
+
+
+@pytest.mark.parametrize("shape, method", list(DYNAMICS_SHA256))
+def test_dynamics_hashes(tmp_path, shape, method):
+    out = tmp_path / "d.csv"
+    argv = ["dynamics", "--pulse-shape", shape, "--method", method, "--samples", "400"]
+    assert run(*argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DYNAMICS_SHA256[shape, method]
+
+
 NO_SIMD = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
 
 
@@ -533,6 +569,11 @@ def test_dynamics_bytes_do_not_depend_on_machine(tmp_path):
     assert run(*gauss, "--out", str(tmp_path / "gauss.csv")) == 0
     assert _run_cli_with(NO_SIMD, *gauss, "--out", str(tmp_path / "gauss_no_simd.csv")) == 0
     assert (tmp_path / "gauss_no_simd.csv").read_bytes() == (tmp_path / "gauss.csv").read_bytes()
+    # and through the exponential step, which takes one forcing column per sample
+    gauss_expm = ["dynamics", "--pulse-shape", "gaussian", "--method", "expm", "--samples", "400"]
+    assert _run_cli_with(NO_SIMD, *gauss_expm, "--out", str(tmp_path / "ge_no_simd.csv")) == 0
+    got = hashlib.sha256((tmp_path / "ge_no_simd.csv").read_bytes()).hexdigest()
+    assert got == DYNAMICS_SHA256["gaussian", "expm"]
 
     expm = ["dynamics", "--method", "expm"]
     assert run(*expm, "--out", str(tmp_path / "here.csv")) == 0

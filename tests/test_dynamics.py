@@ -699,6 +699,75 @@ def test_forcing_sampled_once_at_every_time(matrix_5uw, method, stride):
     assert sorted(times) == [t0 + k / q * h for k in range(q * n_steps + 1)]
 
 
+# A real drive enters through one real column per sample; the imaginary part of
+# a complex one enters as i times the response to it.
+def block_edge_run(M):
+    """(span, dt, samples): B + 1 steps, every state kept, so one sampling call ends at step B."""
+    dt = 0.05 / M.spectral_radius
+    return (0.0, (B + 1) * dt), dt, B + 3
+
+
+def folded_run(M):
+    """(span, dt, samples): eight steps folded into one, with a 7-step tail."""
+    n_steps, samples = strided_run(8, True)
+    dt = 0.05 / M.spectral_radius
+    return (0.0, n_steps * dt), dt, samples
+
+
+@pytest.mark.parametrize("run", [block_edge_run, folded_run], ids=["block-edge", "folded"])
+@pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
+def test_complex_drive_is_linear_in_its_parts(matrix_5uw, method, run):
+    _, _, M = matrix_5uw
+    span, dt, samples = run(M)
+    g = scalar_forcing(ce.PulseSpec("sech", 1.0, span[1] / 8, span[1] / 2))
+    h = scalar_forcing(ce.PulseSpec("gaussian", 0.6, span[1] / 10, span[1] / 3))
+    both = ce.integrate(M, lambda t: g(t) + 1j * h(t), span, dt, method=method, samples=samples)
+    re = ce.integrate(M, g, span, dt, method=method, samples=samples)
+    im = ce.integrate(M, h, span, dt, method=method, samples=samples)
+    for key in ("q_plus", "c_plus"):
+        a, b = getattr(both, key), getattr(re, key) + 1j * getattr(im, key)
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max()
+
+
+@pytest.mark.parametrize("at_call_edge", [False, True], ids=["mid-call", "call-edge"])
+@pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
+def test_drive_turning_complex_matches_loop(matrix_5uw, method, at_call_edge):
+    # floats before the pulse centre, complex numbers from it on; at the call edge
+    # the first call is all floats and the next starts with complex ones
+    _, _, M = matrix_5uw
+    span, dt, samples = block_edge_run(M)
+    q = 2 if method == METHOD_RK4 else 1
+    centre = (B + 0.5 / q if at_call_edge else B / 3) * dt
+    pulse = scalar_forcing(ce.PulseSpec("sech", 1.0, span[1] / 8, centre))
+
+    def turning(t):
+        return pulse(t) if t < centre else pulse(t) * cmath.exp(0.3j * (t - centre) / dt)
+
+    assert_matches_loop(method, M, turning, span, dt, samples)
+
+
+@pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
+def test_integer_drive_matches_loop(matrix_5uw, method):
+    _, _, M = matrix_5uw
+    span, dt, samples = folded_run(M)
+    # a rectangle of Python ints, its edges a quarter step from any sample time
+    lo, hi = (k * dt + dt / 4 for k in (100, 300))
+    assert_matches_loop(method, M, lambda t: 3 if lo < t < hi else 0, span, dt, samples)
+
+
+@pytest.mark.parametrize("run", [block_edge_run, folded_run], ids=["block-edge", "folded"])
+@pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
+def test_complex_valued_real_drive_equals_pulse(matrix_5uw, method, run):
+    _, _, M = matrix_5uw
+    span, dt, samples = run(M)
+    pulse = ce.PulseSpec("sech", 1.0, span[1] / 60, span[1] / 2)
+    want = ce.integrate(M, pulse, span, dt, method=method, samples=samples)
+    got = ce.integrate(M, lambda t: complex(pulse.envelope(t)), span, dt, method=method,
+                       samples=samples)
+    for key in ("times", "q_plus", "c_plus"):
+        assert np.array_equal(getattr(got, key), getattr(want, key))
+
+
 @pytest.mark.parametrize("step_radius", [3.0, 1000.0])
 def test_expm_matches_loop_at_long_steps(matrix_5uw, step_radius):
     # h*rho(M) above 1 is where the Taylor step needs its scaling and squaring
@@ -706,6 +775,30 @@ def test_expm_matches_loop_at_long_steps(matrix_5uw, step_radius):
     dt = step_radius / M.spectral_radius
     pulse = scalar_forcing(ce.PulseSpec("gaussian", 1.0, 10 * dt, 200 * dt))
     assert_matches_loop(METHOD_EXPM, M, pulse, (0.0, 400 * dt), dt, 401)
+
+
+def test_expm_matches_loop_at_zero_detuning(matrix_5uw):
+    # at delta = 0, rho(M) = 9.2e11 1/s: the command line's expm step, a 64th of
+    # the kick width, is h*rho = 1.1e4, and RK4 would need 2.7e9 steps
+    params, st, _ = matrix_5uw
+    der = ce.derive(params, ce.reference_defaults()[1])
+    M = ce.build_matrix(0.0, params, der, st)
+    w = kick_width(params)
+    dt = w / 64
+    pulse = ce.PulseSpec("sech", 1.0, w, 25 * w)
+    got = ce.integrate(M, pulse, (0.0, 80 * w), dt, method=METHOD_EXPM, samples=400)
+    want = loop_expm(M, pulse, (0.0, 80 * w), dt, 400)
+    # the step squares e^(A/2^s) s = 14 times, which scales the rounding of its
+    # slow mode by 2^s; the state remembers about 1/(h*slowest_rate) = 100 steps
+    # of it.  Against a 60-digit exponential the step's P is off by 9.4e-13 and
+    # loop_expm's by 2.2e-16; the runs differ by 1.1e-10 of the peak.
+    s = math.frexp(dt * M.spectral_radius)[1]
+    tol = 2**s * np.finfo(float).eps / (dt * M.slowest_rate)
+    assert np.array_equal(got.times, want.times)
+    for key in ("q_plus", "c_plus"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert np.all(np.isfinite(a))
+        assert np.abs(a - b).max() <= tol * np.abs(b).max()
 
 
 @pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
