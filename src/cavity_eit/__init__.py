@@ -21,11 +21,9 @@ from .params import (
 from .steady_state import SteadyState, solve_steady
 from .response import (
     AMPLITUDE_FLOOR,
-    DegenerateDenominatorError,
     DelayReport,
     PowerPoint,
     SpectrumTable,
-    c_plus,
     eit_width,
     group_delay_analytic,
     power_sweep,
@@ -49,7 +47,6 @@ __all__ = [
     "AMPLITUDE_FLOOR",
     "C_LIGHT",
     "HBAR",
-    "DegenerateDenominatorError",
     "DelayReport",
     "DerivedConstants",
     "DriveParams",
@@ -64,7 +61,6 @@ __all__ = [
     "SystemParams",
     "Trajectory",
     "build_matrix",
-    "c_plus",
     "derive",
     "eit_width",
     "group_delay_analytic",

@@ -43,7 +43,6 @@ from .params import (
 )
 from .steady_state import solve_steady
 from .response import (
-    DegenerateDenominatorError,
     eit_width,
     group_delay_analytic,
     power_sweep,
@@ -73,9 +72,7 @@ class UndefinedDelayError(ArithmeticError):
     """The group delay at the single requested sweep point is undefined."""
 
 
-NUMERICAL_ERRORS = (
-    InstabilityError, StepSizeError, DegenerateDenominatorError, UndefinedDelayError
-)
+NUMERICAL_ERRORS = (InstabilityError, StepSizeError, UndefinedDelayError)
 
 
 # The CSV float formatter.  A finite v != 0 is written as the 17 significant

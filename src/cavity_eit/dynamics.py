@@ -61,6 +61,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .params import HBAR, DerivedConstants, ParameterError, SystemParams
+from .response import _check_detuning
 from .steady_state import SteadyState
 
 PULSE_SHAPES = ("sech", "gaussian", "rectangle", "constant")
@@ -235,12 +236,12 @@ def build_matrix(
 ) -> SystemMatrix:
     """Assemble the 2x2 sideband matrix and verify that it relaxes.
 
-    Both eigenvalues must have positive real part; otherwise the
-    linearized dynamics grow without bound (parametric instability at
-    high pump power) and InstabilityError is raised.
+    The detuning has the response's domain, |delta| < omega_c.  Both
+    eigenvalues must have positive real part; otherwise the linearized
+    dynamics grow without bound (parametric instability at high pump
+    power) and InstabilityError is raised.
     """
-    if not math.isfinite(delta):
-        raise ParameterError(f"probe detuning must be finite, got {delta!r}")
+    _check_detuning(delta, params)
     m = params.mirror_mass
     om = params.mirror_freq
     gm = params.mirror_damping
@@ -341,9 +342,16 @@ def _expm_rule(matrix: SystemMatrix, h: float) -> tuple[np.ndarray, np.ndarray]:
     a[:n, n : n + 1] = h * np.eye(n)[:, _FORCED]
     a[n, n + 1] = 1.0
     s = max(0, math.frexp(h * matrix.spectral_radius)[1])
-    e = _dot(_EXP_TAYLOR, _powers(a / 2**s, len(_EXP_TAYLOR)))
-    for _ in range(s):
-        e = _apply(e, e)
+    xs = _powers(a / 2**s, len(_EXP_TAYLOR))
+    if s == 0:
+        e = _dot(_EXP_TAYLOR, xs)
+    else:
+        # X = e^(A/2^s) - I squares as (I + X)^2 - I = 2X + X^2: the slow mode's
+        # small entries are never rounded against the 1 of I, whose error doubles
+        x = _dot(_EXP_TAYLOR[1:], xs[1:])
+        for _ in range(s):
+            x = 2.0 * x + _apply(x, x)
+        e = x + np.eye(n + 2)
     phi1, phi2 = e[:n, n : n + 1], e[:n, n + 1 :]
     return e[:n, :n], np.concatenate([phi1 - phi2, phi2], axis=1)
 
@@ -468,6 +476,11 @@ def integrate(
     ceil(n_steps / (samples - 1)), and always the first and last.  States
     in between are never formed, but every step's forcing enters, sampled
     once at each of its times.
+
+    ParameterError refuses a step count that overflows float64, a sample
+    spacing h/q at or below the float64 spacing at the span's largest |t| (the
+    sample times would not be distinct), and a final state that is not
+    finite, which any non-finite forcing sample reaches.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -497,12 +510,24 @@ def integrate(
         )
 
     sample = _sampler(forcing)
+    steps = (t1 - t0) / dt
+    if not math.isfinite(steps):
+        raise ParameterError(f"step count (t_end - t_start)/dt overflows float64: "
+                             f"t_span {t_span!r}, dt={dt!r}")
     # the 1e-9 guard keeps dt = span/n from producing n+1 steps via roundoff
-    n_steps = max(1, math.ceil((t1 - t0) / dt - 1e-9))
+    n_steps = max(1, math.ceil(steps - 1e-9))
     h = (t1 - t0) / n_steps
+    p, w = (_rk4_rule if method == METHOD_RK4 else _expm_rule)(matrix, h)
+    if h / (w.shape[1] - 1) <= math.ulp(max(abs(t0), abs(t1))):  # h/q: the sample spacing
+        raise ParameterError(f"dt={dt!r} s is too small to space distinct sample "
+                             f"times over t_span {t_span!r}")
     stride = max(1, -(-n_steps // (samples - 1)))  # ceil division
-    rule = _rk4_rule if method == METHOD_RK4 else _expm_rule
-    return _advance(*rule(matrix, h), sample, t0, h, n_steps, stride)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state is refused below
+        traj = _advance(p, w, sample, t0, h, n_steps, stride)
+    if not (np.isfinite(traj.q_plus[-1]) and np.isfinite(traj.c_plus[-1])):
+        raise ParameterError("the final state is not finite: the forcing overflows "
+                             "float64 or is not finite")
+    return traj
 
 
 def reconstruct_displacement(traj: Trajectory, steady: SteadyState, delta: float) -> Trajectory:

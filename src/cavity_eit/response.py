@@ -23,9 +23,10 @@ Delays where the relevant amplitude magnitude falls below
 ``AMPLITUDE_FLOOR`` are reported as NaN rather than as a huge number:
 1/eps_X amplifies roundoff without bound there, and at the empty-cavity
 resonance eps_R is genuinely zero, so no finite value would be honest.
-NaN propagates through tables and CSV output as a gap; command-line entry
-points translate it to a nonzero exit status when a single requested
-scalar is undefined.
+Where |den| falls below ``DENOMINATOR_FLOOR`` eps_T and both delays are
+NaN, for a scalar detuning as for an array.  NaN propagates through
+tables and CSV output as a gap; command-line entry points translate it to
+a nonzero exit status when a single requested scalar is undefined.
 """
 
 from __future__ import annotations
@@ -43,13 +44,9 @@ ArrayLike = Union[float, np.ndarray]
 
 # |eps_X| below which a group delay is declared undefined.
 AMPLITUDE_FLOOR = 1e-9
-# |denominator| below which the response is undefined: NaN in grids and
-# sweeps, DegenerateDenominatorError for a scalar amplitude.
+# |denominator| below which the response is undefined: eps_T and both delays
+# are NaN there, from every entry point, scalar or array.
 DENOMINATOR_FLOOR = 1e-300
-
-
-class DegenerateDenominatorError(ArithmeticError):
-    """Response denominator vanished; inputs are outside the physical domain."""
 
 
 @dataclass(frozen=True)
@@ -126,51 +123,32 @@ def _response(delta: ArrayLike, params: SystemParams, alpha: float):
 
     eps_T = (2k*num)/den; the delays are the quotient-rule log-derivatives.
     Where |den| < DENOMINATOR_FLOOR the point is outside the physical
-    domain: eps_T and both delays are NaN there, and the returned mask
-    marks it so a scalar entry point can refuse it instead.
+    domain: eps_T and both delays are NaN there.
     """
     num, dnum, den, dden = _pieces(delta, params, alpha)
-    degenerate = np.abs(den) < DENOMINATOR_FLOOR
     k2 = 2.0 * params.cavity_decay
     rnum = k2 * num - den  # eps_r = rnum / den
     drnum = k2 * dnum - dden
     with np.errstate(divide="ignore", invalid="ignore"):
-        eps_t = np.where(degenerate, complex(np.nan, np.nan), k2 * num / den)
+        eps_t = np.where(np.abs(den) < DENOMINATOR_FLOOR, complex(np.nan, np.nan),
+                         k2 * num / den)
         tau_t = np.imag(dnum / num - dden / den)
         tau_r = np.imag(drnum / rnum - dden / den)
-    return eps_t, _mask_floor(tau_t, eps_t), _mask_floor(tau_r, eps_t - 1.0), degenerate
+    return eps_t, _mask_floor(tau_t, eps_t), _mask_floor(tau_r, eps_t - 1.0)
 
 
 def transmitted_amplitude(
     delta: ArrayLike, params: SystemParams, steady: SteadyState
 ) -> complex | np.ndarray:
-    """eps_T at scalar or array detunings.
-
-    An array gets NaN at a degenerate denominator; a scalar raises
-    DegenerateDenominatorError there.
-    """
-    eps_t, _, _, degenerate = _response(delta, params, steady.alpha)
-    if np.ndim(delta) > 0:
-        return eps_t
-    if degenerate:
-        raise DegenerateDenominatorError(
-            f"response denominator below {DENOMINATOR_FLOOR} at delta={float(delta)!r}"
-        )
-    return complex(eps_t)
-
-
-def c_plus(
-    delta: ArrayLike, params: SystemParams, steady: SteadyState
-) -> complex | np.ndarray:
-    """Sideband amplitude per unit probe drive, eps_T/(2*kappa). Accepts scalars or arrays."""
-    return transmitted_amplitude(delta, params, steady) / (2.0 * params.cavity_decay)
+    """eps_T at scalar or array detunings; NaN at a degenerate denominator."""
+    return _response(delta, params, steady.alpha)[0][()]  # [()]: a scalar for a scalar
 
 
 def group_delay_analytic(
     delta: float, params: SystemParams, steady: SteadyState
 ) -> DelayReport:
     """Group delay of both ports from the exact derivative of the response."""
-    _, tau_t, tau_r, _ = _response(delta, params, steady.alpha)
+    _, tau_t, tau_r = _response(delta, params, steady.alpha)
     return DelayReport(tau_t=float(tau_t), tau_r=float(tau_r))
 
 
@@ -192,7 +170,7 @@ def spectrum(
         raise ParameterError("delta grid must be strictly increasing")
     _check_detuning(float(np.abs(grid[[0, -1]]).max()), params)
 
-    eps_t, tau_t, tau_r, _ = _response(grid, params, steady.alpha)
+    eps_t, tau_t, tau_r = _response(grid, params, steady.alpha)
     return SpectrumTable(
         delta=grid,
         eps_t=eps_t,

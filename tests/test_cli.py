@@ -324,6 +324,14 @@ OUT_OF_RANGE = {
     "spectrum-power": ["spectrum", "--power-uw", "1e305"],
     "sweep-power": ["delay-sweep", "--powers-uw", "1e305"],
     "dynamics-power": ["dynamics", "--power-uw", "1e305"],
+    "dynamics-detuning": ["dynamics", "--delta-over-omega-m", "3e9"],  # omega_c = 2.10e9 omega_m
+    # about 1e295 and 1e308 steps; then step counts that overflow float64
+    "dynamics-tiny-dt": ["dynamics", "--dt", "1e-300"],
+    "dynamics-huge-t-end": ["dynamics", "--t-end", "1e300"],
+    "dynamics-step-count": ["dynamics", "--t-end", "1e300", "--dt", "1e-10"],
+    "dynamics-subnormal-dt": ["dynamics", "--dt", "5e-324"],
+    # sech's 2*A*e overflows above about 9e307: NaN samples, a NaN final state
+    "dynamics-pulse-amp": ["dynamics", "--pulse-amp", "1e308"],
 }
 
 

@@ -412,6 +412,26 @@ def test_integrate_validation(matrix_5uw):
         for dt in (math.inf, math.nan):
             with pytest.raises(ce.ParameterError, match="dt"):
                 ce.integrate(M, pulse, (0.0, 1e-4), dt, method=method)
+        # a step count past float64, and sample times too close to be distinct
+        for span, dt in (((0.0, 1e-4), 5e-324), ((0.0, 1e300), 1e-10), ((-1e308, 1e308), 1e-9)):
+            with pytest.raises(ce.ParameterError, match="step count"):
+                ce.integrate(M, pulse, span, dt, method=method)
+        for span, dt in (((0.0, 1e-4), 1e-300), ((0.0, 1e300), 1e-8), ((1.0, 1.0 + 1e-10), 1e-16)):
+            with pytest.raises(ce.ParameterError, match="distinct sample times"):
+                ce.integrate(M, pulse, span, dt, method=method)
+
+
+@pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_non_finite_forcing_refused(matrix_5uw, method, bad):
+    # one non-finite sample, mid-run, reaches the final state and is refused
+    _, _, M = matrix_5uw
+    with pytest.raises(ce.ParameterError, match="final state is not finite"):
+        ce.integrate(M, lambda t: bad if 3e-6 <= t < 3.01e-6 else 0.0, (0.0, 1e-5), 1e-9,
+                     method=method, samples=16)
+    pulse = ce.PulseSpec("sech", 1e308, 1e-6, 25e-6)  # 2*A*e overflows near the centre
+    with pytest.raises(ce.ParameterError, match="final state is not finite"):
+        ce.integrate(M, pulse, (0.0, 60e-6), 1e-8, method=method)
 
 
 # --- the blocked solve against the step-by-step integrators -------------------
@@ -777,9 +797,52 @@ def test_expm_matches_loop_at_long_steps(matrix_5uw, step_radius):
     assert_matches_loop(METHOD_EXPM, M, pulse, (0.0, 400 * dt), dt, 401)
 
 
+def _decimal_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def decimal_expm(a, j):
+    """exp(a) at 40 digits: 40 Taylor terms of a/2^j, squared j times."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        n = len(a)
+        x = [[Decimal(v) / 2**j for v in row] for row in a.tolist()]
+        e = term = [[Decimal(int(i == k)) for k in range(n)] for i in range(n)]
+        for k in range(1, 40):
+            term = [[v / k for v in row] for row in _decimal_matmul(term, x)]
+            e = [[u + v for u, v in zip(r1, r2)] for r1, r2 in zip(e, term)]
+        for _ in range(j):
+            e = _decimal_matmul(e, e)
+        return e
+
+
+@pytest.mark.parametrize("s", [0, 1, 14, 21])
+def test_expm_step_matches_decimal_exponential(matrix_5uw, s):
+    # the step's P and W against exp of the same augmented matrix at 40 digits,
+    # at h*rho = 0.75 * 2^s, delta = 0; squaring e^(A/2^s) itself, not e - I,
+    # left P off by 1.4e-12 at s = 14 and 1.3e-10 at s = 21, about 2^s * eps
+    params, st, _ = matrix_5uw
+    M = ce.build_matrix(0.0, params, ce.derive(params, ce.reference_defaults()[1]), st)
+    h = 0.75 * 2.0**s / M.spectral_radius
+    assert math.frexp(h * M.spectral_radius)[1] == s
+    m = M.as_array()
+    z = np.empty((4, 4))  # real form: x0 -> (Re x0, Im x0), ...
+    z[0::2, 0::2], z[0::2, 1::2], z[1::2, 0::2], z[1::2, 1::2] = m.real, -m.imag, m.imag, m.real
+    a = np.zeros((6, 6))
+    a[:4, :4] = -h * z
+    a[2, 4] = h  # the drive enters Re c
+    a[4, 5] = 1.0
+    exact = decimal_expm(a, s + 8)
+    want_p = np.array([[float(v) for v in row[:4]] for row in exact[:4]])
+    want_w = np.array([[float(row[4] - row[5]), float(row[5])] for row in exact[:4]])
+    p, w = dynamics._expm_rule(M, h)
+    assert np.abs(p - want_p).max() <= 1e-14 * np.abs(want_p).max()
+    assert (np.abs(w - want_w).max(axis=0) <= 1e-14 * np.abs(want_w).max(axis=0)).all()
+
+
 def test_expm_matches_loop_at_zero_detuning(matrix_5uw):
     # at delta = 0, rho(M) = 9.2e11 1/s: the command line's expm step, a 64th of
-    # the kick width, is h*rho = 1.1e4, and RK4 would need 2.7e9 steps
+    # the kick width, is h*rho = 1.1e4 (s = 14), and RK4 would need 2.7e9 steps
     params, st, _ = matrix_5uw
     der = ce.derive(params, ce.reference_defaults()[1])
     M = ce.build_matrix(0.0, params, der, st)
@@ -788,17 +851,11 @@ def test_expm_matches_loop_at_zero_detuning(matrix_5uw):
     pulse = ce.PulseSpec("sech", 1.0, w, 25 * w)
     got = ce.integrate(M, pulse, (0.0, 80 * w), dt, method=METHOD_EXPM, samples=400)
     want = loop_expm(M, pulse, (0.0, 80 * w), dt, 400)
-    # the step squares e^(A/2^s) s = 14 times, which scales the rounding of its
-    # slow mode by 2^s; the state remembers about 1/(h*slowest_rate) = 100 steps
-    # of it.  Against a 60-digit exponential the step's P is off by 9.4e-13 and
-    # loop_expm's by 2.2e-16; the runs differ by 1.1e-10 of the peak.
-    s = math.frexp(dt * M.spectral_radius)[1]
-    tol = 2**s * np.finfo(float).eps / (dt * M.slowest_rate)
     assert np.array_equal(got.times, want.times)
     for key in ("q_plus", "c_plus"):
         a, b = getattr(got, key), getattr(want, key)
         assert np.all(np.isfinite(a))
-        assert np.abs(a - b).max() <= tol * np.abs(b).max()
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 @pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])

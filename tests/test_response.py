@@ -1,10 +1,15 @@
+import cmath
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cavity_eit as ce
+from cavity_eit import response
 from cavity_eit.cli import emit_figure_bundle
 from cavity_eit.params import C_LIGHT, HBAR
 
@@ -33,7 +38,8 @@ def test_empty_cavity_closed_form(ref):
     det = params.effective_detuning
     for d in np.linspace(0.5, 1.5, 7) * params.mirror_freq:
         expected = (k2 - 1j * (det + d)) / ((k2 - 1j * d) ** 2 + det**2)
-        assert ce.c_plus(d, params, st) == pytest.approx(expected, rel=1e-12)
+        got = ce.transmitted_amplitude(d, params, st) / (2 * params.cavity_decay)
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_c_plus_solves_linearised_equations(ref):
@@ -67,7 +73,7 @@ def test_c_plus_solves_linearised_equations(ref):
             [HBAR * g * np.conj(c0), HBAR * g * c0, m * (om**2 - d**2 - 1j * gm * d)],
         ])
         want = np.linalg.solve(system, np.array([1.0, 0.0, 0.0], dtype=complex))[0]
-        got = ce.c_plus(float(d), params, steady_at(params, float(power)))
+        got = ce.transmitted_amplitude(float(d), params, steady_at(params, float(power))) / (2 * k)
         assert got == pytest.approx(want, rel=1e-12), (power, d / om)
 
 
@@ -86,9 +92,6 @@ def test_probe_response_fields(ref, steady_5uw):
     table = ce.spectrum([d], params, steady_5uw)
     eps_t = ce.transmitted_amplitude(d, params, steady_5uw)
     assert table.eps_t[0] == pytest.approx(eps_t, rel=1e-15)
-    assert eps_t == pytest.approx(
-        2.0 * params.cavity_decay * ce.c_plus(d, params, steady_5uw), rel=1e-15
-    )
     for et, t, r, phase in (
         (eps_t, abs(eps_t) ** 2, abs(eps_t - 1.0) ** 2, math.atan2(eps_t.imag, eps_t.real)),
         (table.eps_t[0], table.transmission[0], table.reflection[0], table.phase_t[0]),
@@ -143,17 +146,17 @@ def degenerate_at_zero(params):
 def test_degenerate_denominator_detected(ref):
     params, _ = ref
     crafted = degenerate_at_zero(params)
-    with pytest.raises(ce.DegenerateDenominatorError, match="denominator"):
-        ce.c_plus(0.0, params, crafted)
-    # the array path records a gap instead of aborting the sweep
-    vals = ce.c_plus(np.array([0.0, params.mirror_freq]), params, crafted)
+    # a scalar point is a complex NaN; the array path records a gap
+    # instead of aborting the sweep
+    assert cmath.isnan(ce.transmitted_amplitude(0.0, params, crafted))
+    vals = ce.transmitted_amplitude(np.array([0.0, params.mirror_freq]), params, crafted)
     assert np.isnan(vals[0])
     assert np.isfinite(vals[1])
 
 
 def test_degenerate_denominator_is_one_rule(ref):
     # every path through the response treats the degenerate point alike:
-    # grids, delays and sweeps get NaN (never +-inf), scalar amplitudes raise
+    # amplitudes, grids, delays and sweeps get NaN, never +-inf or an error
     params, _ = ref
     crafted = degenerate_at_zero(params)
     om = params.mirror_freq
@@ -164,10 +167,72 @@ def test_degenerate_denominator_is_one_rule(ref):
         assert np.isfinite(column[1])
     report = ce.group_delay_analytic(0.0, params, crafted)
     assert math.isnan(report.tau_t) and math.isnan(report.tau_r)
-    for fn in (ce.c_plus, ce.transmitted_amplitude):
-        assert np.isnan(fn(np.array([0.0, om]), params, crafted)[0])
-        with pytest.raises(ce.DegenerateDenominatorError, match="denominator"):
-            fn(0.0, params, crafted)
+    scalar = ce.transmitted_amplitude(0.0, params, crafted)
+    assert math.isnan(scalar.real) and math.isnan(scalar.imag)
+    assert np.isnan(ce.transmitted_amplitude(np.array([0.0, om]), params, crafted)[0])
+
+
+@st.composite
+def near_reference(draw, detuning_power_of_two=False):
+    """Reference parameters with each rate and the mass scaled by 1/2 to 2, and a pump of 0-10 uW.
+
+    With detuning_power_of_two the effective detuning is rounded to a power
+    of two, so that 2*Delta*alpha = -chi*w holds exactly in degenerate_at_zero.
+    """
+    params, _ = ce.reference_defaults()
+    fields = ("mirror_mass", "mirror_freq", "mirror_damping", "cavity_decay", "effective_detuning")
+    params = dataclasses.replace(params, **{
+        name: getattr(params, name) * 2.0 ** draw(st.floats(-1.0, 1.0)) for name in fields
+    })
+    if detuning_power_of_two:
+        det = 2.0 ** round(math.log2(params.effective_detuning))
+        params = dataclasses.replace(params, effective_detuning=det)
+    return params, draw(st.floats(0.0, 10e-6))
+
+
+@settings(deadline=None)
+@given(near_reference(), st.floats(-3.0, 3.0))
+def test_conjugation_symmetry_over_parameters(point, x):
+    # eps_T(-delta; -Delta, -alpha) = conj eps_T(delta; Delta, alpha)
+    params, power = point
+    steady = steady_at(params, power)
+    flipped = dataclasses.replace(params, effective_detuning=-params.effective_detuning)
+    d = x * params.mirror_freq
+    lhs = ce.transmitted_amplitude(-d, flipped, dataclasses.replace(steady, alpha=-steady.alpha))
+    rhs = np.conj(ce.transmitted_amplitude(d, params, steady))
+    assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+@settings(deadline=None)
+@given(near_reference(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20, unique=True))
+def test_scalar_amplitude_matches_spectrum_over_parameters(point, xs):
+    params, power = point
+    steady = steady_at(params, power)
+    grid = np.sort(xs) * params.mirror_freq
+    table = ce.spectrum(grid, params, steady)
+    for d, eps in zip(grid, table.eps_t):
+        scalar = ce.transmitted_amplitude(float(d), params, steady)
+        assert abs(scalar - eps) <= 1e-14 * abs(eps)
+
+
+@settings(deadline=None)
+@given(near_reference(detuning_power_of_two=True))
+def test_degenerate_point_is_nan_on_every_path(point):
+    # the amplitude (scalar and array), a spectrum, the delays and a power
+    # sweep, whose steady state is replaced by the crafted one
+    params, _ = point
+    crafted = degenerate_at_zero(params)
+    om = params.mirror_freq
+    assert cmath.isnan(ce.transmitted_amplitude(0.0, params, crafted))
+    amps = ce.transmitted_amplitude(np.array([0.0, om]), params, crafted)
+    assert cmath.isnan(amps[0]) and np.isfinite(amps[1])
+    table = ce.spectrum([0.0, om], params, crafted)
+    assert cmath.isnan(table.eps_t[0]) and math.isnan(table.tau_t[0])
+    report = ce.group_delay_analytic(0.0, params, crafted)
+    assert math.isnan(report.tau_t) and math.isnan(report.tau_r)
+    with mock.patch.object(response, "solve_steady", return_value=crafted):
+        (pt,) = ce.power_sweep([0.0], 0.0, params)
+    assert math.isnan(pt.tau_t) and math.isnan(pt.tau_r)
 
 
 def test_conjugation_symmetry(ref, steady_5uw):
@@ -180,14 +245,14 @@ def test_conjugation_symmetry(ref, steady_5uw):
     )
     flipped_steady = dataclasses.replace(steady_5uw, alpha=-steady_5uw.alpha)
     for d in np.linspace(0.6, 1.4, 5) * params.mirror_freq:
-        lhs = ce.c_plus(-d, flipped_params, flipped_steady)
-        rhs = np.conj(ce.c_plus(d, params, steady_5uw))
+        lhs = ce.transmitted_amplitude(-d, flipped_params, flipped_steady)
+        rhs = np.conj(ce.transmitted_amplitude(d, params, steady_5uw))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     st0 = empty(params)
     for d in np.linspace(0.6, 1.4, 5) * params.mirror_freq:
-        lhs = ce.c_plus(-d, flipped_params, st0)
-        rhs = np.conj(ce.c_plus(d, params, st0))
+        lhs = ce.transmitted_amplitude(-d, flipped_params, st0)
+        rhs = np.conj(ce.transmitted_amplitude(d, params, st0))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -195,9 +260,10 @@ def test_vectorized_matches_scalar(ref, steady_5uw):
     # numpy's vector and scalar complex division differ in the last ulp
     params, _ = ref
     grid = np.linspace(0.8, 1.2, 11) * params.mirror_freq
-    vec = ce.c_plus(grid, params, steady_5uw)
+    vec = ce.transmitted_amplitude(grid, params, steady_5uw)
     for i, d in enumerate(grid):
-        assert vec[i] == pytest.approx(ce.c_plus(float(d), params, steady_5uw), rel=1e-14)
+        want = ce.transmitted_amplitude(float(d), params, steady_5uw)
+        assert vec[i] == pytest.approx(want, rel=1e-14)
 
 
 # --- spectra ------------------------------------------------------------------
@@ -352,11 +418,14 @@ def test_detuning_domain_ends_at_optical_frequency(ref, steady_5uw):
     # past omega_c = 2*pi*c/lambda the lower sideband is not a light field
     params, _ = ref
     omega_c = 2.0 * math.pi * C_LIGHT / params.wavelength
+    derived = ce.derive(params, ce.DriveParams(pump_power=5e-6))
     for delta in (omega_c, -omega_c):
         with pytest.raises(ce.ParameterError, match="probe detuning"):
             ce.spectrum([delta], params, steady_5uw)
         with pytest.raises(ce.ParameterError, match="probe detuning"):
             ce.power_sweep([0.0, 5e-6], delta, params)
+        with pytest.raises(ce.ParameterError, match="probe detuning"):
+            ce.build_matrix(delta, params, derived, steady_5uw)
     # just inside, every value is finite but tau_t, masked because |eps_T| ~ 1e-10
     inside = np.nextafter(omega_c, 0)
     table = ce.spectrum([-inside, inside], params, steady_5uw)
