@@ -11,9 +11,11 @@ Floats are written in fixed 17-significant-digit scientific notation so
 CSV output round-trips doubles losslessly and is byte-stable across runs.
 Undefined delays are emitted as the literal ``NaN``.  The bytes are those
 ``'%.16e' % v`` writes, but made a block of rows at a time by array
-arithmetic that rounds each float exactly, with the same bytes on every
-machine; a float within 1e-6 of a rounding tie, inf and NaN are written by
-``'%.16e'`` itself.
+arithmetic, with the same bytes on every machine: each float's decimal
+exponent is found exactly and its 17 digits are rounded once, and the pad
+bytes of the fixed-width fields are dropped by one ``bytes.translate``.  A
+float within 1e-6 of a rounding tie, inf and NaN are written by ``'%.16e'``
+itself.
 
 Exit codes: 0 success, 1 validation error (message names the offending
 field), 2 numerical error (instability, undefined delay at a requested
@@ -77,19 +79,22 @@ NUMERICAL_ERRORS = (InstabilityError, StepSizeError, UndefinedDelayError)
 
 # The CSV float formatter.  A finite v != 0 is written as the 17 significant
 # digits N of |v| * 10^(16 - E), N in [10^16, 10^17), rounded half-even as
-# '%.16e' rounds it.  |v| * 10^(16 - E) is formed as a double-double from
-# frexp's mantissa and a 107-bit 10^k = (hi + lo) * 2^b (Dekker's exact
-# product of the mantissa and hi, plus mantissa * lo), so its error is under
-# 1e-13 and N is exact unless the fraction lies within _TIE_MARGIN of 1/2.
-# Such elements, and inf and NaN, are written by '%.16e' itself.  Only exactly
-# rounded float64 and int64 ops are used (no log10, exp or FMA), so the bytes
-# do not depend on numpy's SIMD dispatch.
-_E_MIN, _E_MAX = -326, 309  # every E the estimate and its two steps reach
-_LOG10_2 = 0.30102999566398120
+# '%.16e' rounds it.  The decade E is exact: frexp's exponent e gives
+# floor((e - 1) * log10 2), which is E or E - 1, and one comparison of |v| with
+# the smallest double >= 10^(E + 1) settles it.  |v| * 10^(16 - E) is then
+# formed once, as a double-double from frexp's mantissa and a 107-bit
+# 10^k = (hi + lo) * 2^b (Dekker's exact product of the mantissa and hi, plus
+# mantissa * lo), so its error is under 1e-13 and N is exact unless the fraction
+# lies within _TIE_MARGIN of 1/2.  A carry to N = 10^17 is 10^16 one decade up.
+# Elements near a tie, and inf and NaN, are written by '%.16e' itself.  Only
+# exactly rounded float64 and int64 ops are used (no log10, exp or FMA), so the
+# bytes do not depend on numpy's SIMD dispatch.
+_E_MIN, _E_MAX = -324, 308  # the decades of 5e-324 and of the largest double
 _SPLIT = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
 _TIE_MARGIN = 1e-6
 # A field is 7 little-endian words, "\0-d." "dddd" x 4 "e-dd" "d,\0\0": every
-# byte but a pad byte (0) is written, so the row bytes are the nonzero ones.
+# byte but a pad byte (0) is written, so the row bytes are the nonzero ones,
+# and one bytes.translate per block deletes the pads.
 _WORDS = 7
 _BLOCK_ROWS = 512  # rows formatted at once: memory stays flat for long tables
 
@@ -98,10 +103,12 @@ _BLOCK_ROWS = 512  # rows formatted at once: memory stays flat for long tables
 def _format_tables() -> tuple[np.ndarray, ...]:
     """The formatter's lookup tables, built on the first CSV.
 
-    Indexed by E - _E_MIN: hi, hi's two Dekker halves, lo and b with
-    10^(16 - E) = (hi + lo) * 2^b to 107 bits, from exact integers, and the
-    words "e+dd" / "e-dd" and "d" of the exponent (a pad byte for the hundreds
-    digit of a two-digit exponent).  Indexed by g: the word "dddd" of 0 <= g < 10^4.
+    Indexed by E - _E_MIN: the rows (hi, hi's two Dekker halves, lo) and b with
+    10^(16 - E) = (hi + lo) * 2^b to 107 bits, from exact integers; the smallest
+    double >= 10^E (one entry more, inf past the largest double); and the words
+    "e+dd" / "e-dd" (a pad byte for the hundreds digit of a two-digit exponent)
+    and "d,".  Indexed by d + 10 * sign: the word "\0-d.".  Indexed by g: the
+    word "dddd" of 0 <= g < 10^4.
     """
     his, los, bs = [], [], []
     for k in range(16 - _E_MIN, 16 - _E_MAX - 1, -1):
@@ -120,14 +127,23 @@ def _format_tables() -> tuple[np.ndarray, ...]:
     hi1 = c - (c - hi)
     lo = np.array(los, dtype=float) * 2.0**-54
 
+    decades = [math.inf] * (_E_MAX - _E_MIN + 2)  # no double reaches 10^(_E_MAX + 1)
+    for k in range(_E_MIN, _E_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        t = num / den  # int / int is correctly rounded
+        a, b = t.as_integer_ratio()
+        decades[k - _E_MIN] = t if a * den >= num * b else math.nextafter(t, math.inf)
+
     g = np.arange(10_000)
     digits = _word(g // 1000 + 48, g // 100 % 10 + 48, g // 10 % 10 + 48, g % 10 + 48)
+    lead = _word(0, np.repeat([0, ord("-")], 10), np.tile(np.arange(48, 58), 2), ord("."))
     e = np.arange(_E_MIN, _E_MAX + 1)
     a = np.abs(e)
     hundreds = np.where(a < 100, 0, a // 100 + 48)
     exp_head = _word(ord("e"), np.where(e < 0, ord("-"), ord("+")), hundreds, a // 10 % 10 + 48)
-    exp_tail = _word(a % 10 + 48, 0, 0, 0)
-    return hi, hi1, hi - hi1, lo, np.array(bs, dtype=np.int32), exp_head, exp_tail, digits
+    exp_tail = _word(a % 10 + 48, ord(","), 0, 0)
+    return (np.stack([hi, hi1, hi - hi1, lo], axis=1), np.array(bs, dtype=np.int32),
+            np.array(decades), lead, exp_head, exp_tail, digits)
 
 
 def _word(b0, b1, b2, b3) -> np.ndarray:
@@ -136,64 +152,68 @@ def _word(b0, b1, b2, b3) -> np.ndarray:
     return (b0 | b1 << 8 | b2 << 16 | b3 << 24).astype("<u4")
 
 
-def _round17(m, e, E, tables):
-    """N = |v| * 10^(16 - E) rounded half-even, |v| = m * 2^e, and whether N may be off by one."""
-    hi, hi1, hi2, lo, b = (t[E - _E_MIN] for t in tables[:5])
+def _round17(m, e, i, tables):
+    """N = |v| * 10^(16 - E) rounded half-even, and whether N may be off by one.
+
+    |v| = m * 2^e, and i = E - _E_MIN indexes the tables.
+    """
+    hi, hi1, hi2, lo = tables[0].take(i, axis=0).T
     c = m * _SPLIT
     m1 = c - (c - m)
     m2 = m - m1
     p = m * hi
-    r = ((m1 * hi1 - p) + m1 * hi2 + m2 * hi1) + m2 * hi2 + m * lo
-    shift = e + b
-    p = np.ldexp(p, shift)  # an integer once N >= 10^16 > 2^53
-    r = np.ldexp(r, shift)
+    r = m1 * hi1  # then ((r - p) + m1 * hi2 + m2 * hi1) + m2 * hi2 + m * lo, in place
+    r -= p
+    t = np.empty_like(r)
+    for x, y in ((m1, hi2), (m2, hi1), (m2, hi2), (m, lo)):
+        r += np.multiply(x, y, out=t)
+    shift = tables[1].take(i) + e
+    np.ldexp(p, shift, out=p)  # an integer once N >= 10^16 > 2^53
+    np.ldexp(r, shift, out=r)
     ri = np.rint(r)
-    return p.astype(np.int64) + ri.astype(np.int64), np.abs(r - ri) > 0.5 - _TIE_MARGIN
+    n = p.astype(np.int64)
+    n += ri.astype(np.int64)
+    r -= ri
+    return n, np.abs(r, out=r) > 0.5 - _TIE_MARGIN
 
 
 def _format_block(block: np.ndarray, tables) -> bytes:
     """The rows of a 2-D float64 block as CSV lines, each float as '%.16e' writes it."""
     v = block.ravel()
     finite = np.isfinite(v)
-    zero = v == 0
-    m, e = np.frexp(np.where(finite & ~zero, np.abs(v), 1.0))
-    E = np.floor((e - 1) * _LOG10_2).astype(np.intp)  # at most one below the true exponent
-    N, unsure = _round17(m, e, E, tables)
-    # step E until N has 17 digits: once for the estimate, once more for a carry
-    wrong = np.flatnonzero((N < 10**16) | (N >= 10**17))
-    for _ in range(2):
-        if not wrong.size:
-            break
-        E[wrong] += np.where(N[wrong] >= 10**17, 1, -1)
-        N[wrong], unsure[wrong] = _round17(m[wrong], e[wrong], E[wrong], tables)
-        wrong = wrong[(N[wrong] < 10**16) | (N[wrong] >= 10**17)]
-    unsure[wrong] = True
-    N[zero] = 0
-    E[zero] = 0
+    a = np.where(finite, np.abs(v), 0.0)
+    m, e = np.frexp(a)
+    # i = E - _E_MIN from here on; (e - 1) * 78913 >> 18 = floor((e - 1) * log10 2)
+    # for every exponent of a double, and one up where |v| >= 10^(E + 1)
+    i = ((e.astype(np.intp) - 1) * 78913 >> 18) - _E_MIN
+    i += a >= tables[2].take(i + 1)
+    N, unsure = _round17(m, e, i, tables)
+    i += a == 0  # zero, inf and NaN have E = 0
+    carry = np.flatnonzero(N == 10**17)
+    N[carry] = 10**16
+    i[carry] += 1
 
-    # N = d0 g1 g2 g3 g4 in 1- and 4-digit groups; floor(x / 1e4) is exact for x < 1e9
-    q, r = np.divmod(N, 10**8)
-    q = q.astype(float)
-    r = r.astype(float)
-    t = np.floor(q / 1e4)
-    d0 = np.floor(t / 1e4)
-    g3 = np.floor(r / 1e4)
-    groups = np.stack([t - d0 * 1e4, q - t * 1e4, g3, r - g3 * 1e4], axis=1).astype(np.intp)
-
-    exp_head, exp_tail, digits = tables[5:]
+    # N = d0 g1 g2 g3 g4 in 1- and 4-digit groups, by int64 floor division
+    lead, exp_head, exp_tail, digits = tables[3:]
     fields = np.empty((v.size, _WORDS), dtype="<u4")
-    fields[:, 0] = _word(0, np.signbit(v) * ord("-"), d0.astype(np.int64) + 48, ord("."))
-    fields[:, 1:5] = digits[groups]
-    fields[:, 5] = exp_head[E - _E_MIN]
-    sep = _word(0, [ord(",")] * (block.shape[1] - 1) + [ord("\n")], 0, 0)
-    fields[:, 6] = (exp_tail[E - _E_MIN].reshape(block.shape) | sep).ravel()
+    q = N // 10**8
+    r = N - q * 10**8
+    t = q // 10**4
+    d0 = t // 10**4
+    g3 = r // 10**4
+    fields[:, 0] = lead.take(d0 + np.signbit(v) * 10)
+    for col, g in enumerate((t - d0 * 10**4, q - t * 10**4, g3, r - g3 * 10**4), 1):
+        fields[:, col] = digits.take(g)
+    fields[:, 5] = exp_head.take(i)
+    fields[:, 6] = exp_tail.take(i)
+    fields.reshape(*block.shape, _WORDS)[:, -1, 6] ^= (ord(",") ^ ord("\n")) << 8
     text_bytes = fields.view(np.uint8)
-    for i in np.flatnonzero(~finite | unsure):
+    for j in np.flatnonzero(~finite | unsure):
         # %e prints every NaN, sign bit or not, as "nan"
-        text = ("%.16e" % v[i]).replace("nan", "NaN").encode()
-        text_bytes[i, :25] = 0  # all but the separator
-        text_bytes[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-    return text_bytes[text_bytes != 0].tobytes()
+        text = ("%.16e" % v[j]).replace("nan", "NaN").encode()
+        text_bytes[j, :25] = 0  # all but the separator
+        text_bytes[j, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return text_bytes.tobytes().translate(None, b"\0")
 
 
 def _csv(header: str, *columns) -> bytes:
@@ -296,6 +316,7 @@ def _cmd_spectrum(args) -> dict:
     columns = (table.delta, table.delta / params.mirror_freq, table.transmission, table.reflection,
                table.eps_t.real, table.eps_t.imag, table.phase_t, table.tau_t, table.tau_r)
     _emit(_csv(SPECTRUM_HEADER, *columns), args.out)
+    args.columns = columns  # what a figure bundle's phase-unwrap step reads
     i_min = int(np.nanargmin(table.transmission))
     _note(
         f"spectrum: {len(table)} rows, min T={table.transmission[i_min]:.4e} at "
@@ -377,11 +398,9 @@ def _cmd_dynamics(args) -> dict:
     }
 
 
-def _phase_unwrap(spectrum_csv: Path, out: Path) -> dict:
-    """Stitch the phase column of a spectrum CSV into a continuous curve."""
-    delta, delta_over_omega_m, phase = np.loadtxt(
-        spectrum_csv, delimiter=",", skiprows=1, usecols=(0, 1, 6), ndmin=2, unpack=True
-    )
+def _phase_unwrap(columns: tuple, out: Path) -> dict:
+    """Stitch the phase column of a spectrum run's CSV columns into a continuous curve."""
+    delta, delta_over_omega_m, phase = columns[0], columns[1], columns[6]
     header = "delta_rad_s,delta_over_omega_m,phase_t_unwrapped_rad"
     _emit(_csv(header, delta, delta_over_omega_m, np.unwrap(phase)), out)
     return {}
@@ -447,7 +466,8 @@ _FIG4_POWERS = ["--powers-uw", ",".join(map(repr, np.linspace(0.1, 5.0, 50).toli
 # parsed and executed exactly as ``cavity-eit <command> <flags>`` would be.
 # The 5 uW runs leave out --power-uw: it would resolve 5 * 1e-6, one ulp
 # below the reference pump of 5e-6 W.  ``phase-unwrap`` is the one step
-# that is not a command: it post-processes the named spectrum CSV.
+# that is not a command: it post-processes the columns of the named spectrum
+# CSV, as that run wrote them.
 FIGURE_RUNS = {
     "fig2": [("spectrum", [], "fig2_spectrum_5uw.csv")],
     "fig3": [
@@ -486,13 +506,15 @@ def emit_figure_bundle(figure_id: str, out_dir: str | Path) -> list[Path]:
     parser = _build_parser()
     written: list[Path] = []
     runs = []
+    columns = {}  # output name -> the columns a spectrum run wrote
     for command, flags, name in FIGURE_RUNS[figure_id]:
         path = out / name
         if command == "phase-unwrap":
-            record = _phase_unwrap(out / flags[0], path)
+            record = _phase_unwrap(columns[flags[0]], path)
         else:
             args = parser.parse_args([command, *flags, "--out", str(path)])
             record = args.func(args)
+            columns[name] = getattr(args, "columns", None)
         runs.append({**record, "command": command, "output": name})
         written.append(path)
 

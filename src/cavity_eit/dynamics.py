@@ -179,10 +179,13 @@ class PulseSpec:
             elif self.shape == "sech":
                 # sech x = 2e/(1 + e^2) = 2e - 2e e^2/(1 + e^2) with e = e^-|x|, which
                 # underflows to 0 in the far tails; the second form weights the
-                # roundings of its e^2 term by e^2/(1 + e^2), the first does not
+                # roundings of its e^2 term by e^2/(1 + e^2), the first does not.
+                # The exact doubling comes last, so A e - A e e^2/(1 + e^2) <= A/2
+                # cannot overflow where 2 A e would
                 e = _exp(-np.abs(x))
-                y = 2.0 * self.amplitude * e
+                y = self.amplitude * e
                 y -= y * (e * e / (1.0 + e * e))
+                y *= 2.0
             elif self.shape == "gaussian":
                 y = self.amplitude * _exp(-0.5 * x * x)
             else:

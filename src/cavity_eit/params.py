@@ -81,6 +81,11 @@ class SystemParams:
     def quality_factor(self) -> float:
         return self.mirror_freq / self.mirror_damping
 
+    @property
+    def coupling_freq(self) -> float:
+        """Optical angular frequency of the coupling laser, 2*pi*c / wavelength (rad/s)."""
+        return 2.0 * math.pi * C_LIGHT / self.wavelength
+
 
 @dataclass(frozen=True)
 class DriveParams:
@@ -114,7 +119,7 @@ def derive(params: SystemParams, drive: DriveParams) -> DerivedConstants:
     The coupling constant g = -omega_c/L is negative by convention: pushing
     the membrane toward positive displacement lowers the mode frequency.
     """
-    omega_c = 2.0 * math.pi * C_LIGHT / params.wavelength
+    omega_c = params.coupling_freq
     g = -omega_c / params.cavity_length
     eps_c = math.sqrt(2.0 * params.cavity_decay * drive.pump_power / (HBAR * omega_c))
     return DerivedConstants(

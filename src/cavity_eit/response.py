@@ -107,7 +107,7 @@ def _check_detuning(delta: float, params: SystemParams) -> None:
     """Refuse |delta| >= omega_c: the lower sideband omega_c - |delta| is not a light field."""
     if not math.isfinite(delta):
         raise ParameterError(f"probe detuning must be finite, got {delta!r}")
-    omega_c = derive(params, DriveParams(pump_power=0.0)).coupling_freq
+    omega_c = params.coupling_freq
     if abs(delta) >= omega_c:  # m*delta^4 in den overflows from about 4.6e79 rad/s
         raise ParameterError(f"probe detuning must be below omega_c = {omega_c!r} rad/s "
                              f"in magnitude, got {delta!r}")

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,12 @@ from cavity_eit.cli import (
     FIGURE_RUNS,
     SPECTRUM_HEADER,
     SWEEP_HEADER,
+    _E_MAX,
+    _E_MIN,
     _build_parser,
     _csv,
+    _format_tables,
+    _phase_unwrap,
     emit_figure_bundle,
     main,
 )
@@ -162,6 +167,28 @@ def test_csv_matches_template_oracle():
               elements=st.floats(allow_nan=True, allow_infinity=True)))
 def test_csv_matches_template_oracle_property(table):
     assert _csv("h", *table.T) == oracle_csv("h", *table.T).encode()
+
+
+def test_decade_table_is_exact():
+    # entry k - _E_MIN is the smallest double >= 10^k: an exact comparison of integers
+    decades = _format_tables()[2]
+    assert len(decades) == _E_MAX - _E_MIN + 2
+    for k, t in zip(range(_E_MIN, _E_MAX + 2), decades.tolist()):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        if k > _E_MAX:  # no double reaches 10^309
+            assert t == math.inf
+        else:
+            a, b = t.as_integer_ratio()
+            assert a * den >= num * b
+        a, b = math.nextafter(t, 0).as_integer_ratio()
+        assert a * den < num * b
+    # the decade estimate floor((e - 1) log10 2) = (e - 1) * 78913 >> 18, for every
+    # frexp exponent e of a nonzero double: 10^E <= 2^(e - 1) < 10^(E + 1)
+    for e in range(-1073, 1025):
+        E = (e - 1) * 78913 >> 18
+        lhs, rhs = (2 ** (e - 1), 1) if e >= 1 else (1, 2 ** (1 - e))
+        assert (10**E * rhs <= lhs if E >= 0 else rhs <= lhs * 10**-E)
+        assert (10 ** (E + 1) * rhs > lhs if E >= -1 else rhs > lhs * 10 ** -(E + 1))
 
 
 def test_width_sweep_affine_and_nan(tmp_path):
@@ -330,8 +357,8 @@ OUT_OF_RANGE = {
     "dynamics-huge-t-end": ["dynamics", "--t-end", "1e300"],
     "dynamics-step-count": ["dynamics", "--t-end", "1e300", "--dt", "1e-10"],
     "dynamics-subnormal-dt": ["dynamics", "--dt", "5e-324"],
-    # sech's 2*A*e overflows above about 9e307: NaN samples, a NaN final state
-    "dynamics-pulse-amp": ["dynamics", "--pulse-amp", "1e308"],
+    # a negative probe amplitude; the sech envelope keeps 1e308 finite (test_dynamics.py)
+    "dynamics-pulse-amp": ["dynamics", "--pulse-amp=-1e308"],
 }
 
 
@@ -415,6 +442,38 @@ def test_usage_errors_exit_1(tmp_path, capsys):
 
 
 # --- figure bundles -------------------------------------------------------------
+
+
+def oracle_phase_unwrap(spectrum_csv, out):
+    """The unwrapped phase from the spectrum CSV's bytes, parsed back by np.loadtxt."""
+    delta, delta_over_omega_m, phase = np.loadtxt(
+        spectrum_csv, delimiter=",", skiprows=1, usecols=(0, 1, 6), ndmin=2, unpack=True
+    )
+    header = "delta_rad_s,delta_over_omega_m,phase_t_unwrapped_rad"
+    out.write_bytes(_csv(header, delta, delta_over_omega_m, np.unwrap(phase)))
+
+
+def test_phase_unwrap_matches_csv_oracle(tmp_path):
+    emit_figure_bundle("fig3", tmp_path)
+    oracle_phase_unwrap(tmp_path / "fig3_spectrum_1uw.csv", tmp_path / "oracle.csv")
+    got = (tmp_path / "fig3_phase_unwrapped.csv").read_bytes()
+    assert got == (tmp_path / "oracle.csv").read_bytes()
+
+
+@settings(deadline=None, max_examples=50)
+@given(arrays(np.float64, st.tuples(st.integers(1, 30), st.just(3)),
+              elements=st.floats(allow_nan=True, allow_infinity=True)
+              | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])))
+def test_phase_unwrap_matches_csv_oracle_property(table):
+    # the columns a spectrum run wrote give the bytes its CSV gives when parsed back
+    delta, ratio, phase = table.T
+    columns = (delta, ratio, *[np.zeros(len(table))] * 4, phase, *[np.zeros(len(table))] * 2)
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+        spectrum_csv, got, want = (Path(tmp) / name for name in ("s.csv", "got.csv", "want.csv"))
+        spectrum_csv.write_bytes(_csv(SPECTRUM_HEADER, *columns))
+        oracle_phase_unwrap(spectrum_csv, want)
+        _phase_unwrap(columns, got)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_fig3_bundle_uses_1uw(tmp_path):

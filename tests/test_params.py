@@ -34,6 +34,8 @@ def test_coupling_freq_from_wavelength(ref):
         2.0 * math.pi * C_LIGHT / 1064e-9, rel=1e-14
     )
     assert der.coupling_freq == pytest.approx(1.7703492174e15, rel=1e-10)
+    # one expression: the property that the detuning check reads is derive's value
+    assert params.coupling_freq == der.coupling_freq
 
 
 def test_coupling_constant(ref):
