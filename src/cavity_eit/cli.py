@@ -46,7 +46,6 @@ from .params import (
 from .steady_state import solve_steady
 from .response import (
     eit_width,
-    group_delay_analytic,
     power_sweep,
     spectrum,
     transmitted_amplitude,
@@ -232,11 +231,12 @@ def _emit(data: bytes, out: str | Path) -> None:
     if out == "-":
         sys.stdout.flush()
         sys.stdout.buffer.write(data)
-    else:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(data)
+        return
+    try:
+        Path(out).write_bytes(data)
+    except FileNotFoundError:  # a missing directory is made at the first file written into it
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        Path(out).write_bytes(data)
 
 
 def _emit_json(doc: dict, out: str | Path) -> None:
@@ -420,11 +420,9 @@ def comparison_report(params: SystemParams) -> dict:
     to agree.
     """
     _, drive5 = reference_defaults()
-    st0 = solve_steady(params, derive(params, DriveParams(pump_power=0.0)))
     st5 = solve_steady(params, derive(params, drive5))
     omega_m = params.mirror_freq
-    empty = group_delay_analytic(omega_m, params, st0)
-    sweep = power_sweep([p * 1e-6 for p in (0.2, 0.5, 1.0, 2.0, 5.0)], omega_m, params)
+    empty, *sweep = power_sweep([p * 1e-6 for p in (0.0, 0.2, 0.5, 1.0, 2.0, 5.0)], omega_m, params)
     t_res = abs(transmitted_amplitude(omega_m, params, st5)) ** 2
     return {
         "empty_cavity_transmission_delay_s": {

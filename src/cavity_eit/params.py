@@ -66,6 +66,8 @@ class SystemParams:
         _require_positive("mirror_freq", self.mirror_freq)
         _require_positive("mirror_damping", self.mirror_damping)
         _require_positive("cavity_decay", self.cavity_decay)
+        if not math.isfinite(self.coupling_freq):
+            raise ParameterError(f"wavelength too small: 2*pi*c/wavelength overflows, got {self.wavelength!r}")
         if not math.isfinite(self.effective_detuning):
             raise ParameterError(
                 f"effective_detuning must be finite, got {self.effective_detuning!r}"

@@ -81,7 +81,7 @@ class PowerPoint(NamedTuple):
     gamma_width: float  # rad/s
 
 
-def _pieces(delta: ArrayLike, params: SystemParams, alpha: float):
+def _pieces(delta: ArrayLike, params: SystemParams, alpha: ArrayLike):
     """Numerator and denominator of the response, plus their detuning derivatives."""
     d = np.asarray(delta, dtype=float)
     m = params.mirror_mass
@@ -118,12 +118,14 @@ def _mask_floor(tau: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return np.where(np.abs(eps) >= AMPLITUDE_FLOOR, tau, np.nan)
 
 
-def _response(delta: ArrayLike, params: SystemParams, alpha: float):
+def _response(delta: ArrayLike, params: SystemParams, alpha: ArrayLike):
     """The one evaluation of the response: eps_T and both exact delays.
 
     eps_T = (2k*num)/den; the delays are the quotient-rule log-derivatives.
     Where |den| < DENOMINATOR_FLOOR the point is outside the physical
-    domain: eps_T and both delays are NaN there.
+    domain: eps_T and both delays are NaN there.  ``alpha`` may be an array
+    at one ``delta``: num and den are affine in alpha, so each point rounds
+    exactly as a scalar evaluation does.
     """
     num, dnum, den, dden = _pieces(delta, params, alpha)
     k2 = 2.0 * params.cavity_decay
@@ -197,8 +199,8 @@ def power_sweep(
 ) -> list[PowerPoint]:
     """Delays and transparency width at one detuning across pump powers.
 
-    The steady state is re-solved for every power.  Powers must be
-    non-negative and sorted ascending; undefined delays propagate as NaN.
+    One steady state per power, one response evaluation per sweep.  Powers
+    must be non-negative and sorted ascending; undefined delays propagate as NaN.
     """
     _check_detuning(delta, params)
     values = [float(p) for p in powers]
@@ -209,10 +211,7 @@ def power_sweep(
     if values != sorted(values):
         raise ParameterError("pump powers must be sorted ascending")
 
-    out = []
-    for p in values:
-        steady = solve_steady(params, derive(params, DriveParams(pump_power=p)))
-        report = group_delay_analytic(delta, params, steady)
-        out.append(PowerPoint(p, report.tau_t, report.tau_r, eit_width(params, steady)))
-    return out
-
+    steadies = [solve_steady(params, derive(params, DriveParams(pump_power=p))) for p in values]
+    _, tau_t, tau_r = _response(delta, params, np.array([st.alpha for st in steadies]))
+    return [PowerPoint(p, t, r, eit_width(params, st))
+            for p, t, r, st in zip(values, tau_t.tolist(), tau_r.tolist(), steadies)]

@@ -253,6 +253,20 @@ def test_config_file_and_flag_override(tmp_path):
     assert n2 == pytest.approx(4 * n1, rel=1e-13)
 
 
+def test_out_into_missing_directories(tmp_path, capsys):
+    # the parents of --out are made when missing; the bytes do not depend on it
+    here, nested = tmp_path / "here.csv", tmp_path / "a" / "b" / "there.csv"
+    assert run("delay-sweep", "--out", str(here)) == 0
+    assert run("delay-sweep", "--out", str(nested)) == 0
+    assert nested.read_bytes() == here.read_bytes()
+    # a regular file where a directory should be, and a directory where the file should be
+    for out in (here / "c" / "x.csv", here / "x.csv", tmp_path / "a"):
+        capsys.readouterr()
+        assert run("delay-sweep", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_validation_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"mirror_mass": -1.0}))
@@ -391,6 +405,19 @@ def test_overflowing_config_rejected(tmp_path, capsys, command, text, key):
     assert run(command, "--config", str(cfg), "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and re.search(key, err)
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["steady-state", "spectrum", "delay-sweep", "dynamics"])
+def test_overflowing_wavelength_rejected(tmp_path, capsys, command):
+    # omega_c = 2*pi*c/wavelength is inf: the wavelength is refused, not the pump
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"wavelength": 1e-310}')
+    out = tmp_path / "x.csv"
+    assert run(command, "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: wavelength")
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -647,6 +674,16 @@ def test_dynamics_bytes_do_not_depend_on_machine(tmp_path):
     prescott = {"OPENBLAS_CORETYPE": "Prescott"}
     assert _run_cli_with(prescott, *expm, "--out", str(tmp_path / "prescott.csv")) == 0
     assert (tmp_path / "prescott.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
+
+
+@pytest.mark.parametrize("figure_id", ["fig4", "fig8"])
+def test_sweep_bytes_do_not_depend_on_machine(tmp_path, figure_id):
+    # a power sweep evaluates the response over an array of alphas; without
+    # numpy's SIMD paths its CSV and the comparison report keep their pins
+    assert _run_cli_with(NO_SIMD, "figure", figure_id, "--out-dir", str(tmp_path)) == 0
+    for name in (FIGURE_RUNS[figure_id][0][2], "comparison_report.json"):
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == BUNDLE_SHA256[f"{figure_id}/{name}"]
 
 
 def test_csv_bytes_do_not_depend_on_machine(tmp_path):

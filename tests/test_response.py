@@ -406,6 +406,44 @@ def test_power_sweep_reference_behaviour(ref):
     assert np.abs(resid).max() < 1e-10 * np.abs(widths).max()
 
 
+def per_point_sweep(powers, delta, params):
+    """Oracle for ce.power_sweep: one steady state and one scalar response per power."""
+    out = []
+    for p in powers:
+        steady = steady_at(params, p)
+        report = ce.group_delay_analytic(delta, params, steady)
+        out.append((p, report.tau_t, report.tau_r, ce.eit_width(params, steady)))
+    return out
+
+
+def float64_bytes(points):
+    """The points as float64 bytes, every NaN replaced by one NaN."""
+    values = np.array(points, dtype=float)
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+@settings(deadline=None)
+@given(near_reference(), st.lists(st.floats(-19.0, -3.0), max_size=30), st.floats(-3.0, 3.0))
+def test_power_sweep_matches_scalar_path_over_parameters(point, log_powers, x):
+    # one response evaluation over all alphas rounds every point as one evaluation per power
+    params, power = point
+    powers = sorted([0.0, power, *(10.0 ** e for e in log_powers)])
+    for delta in (params.mirror_freq, 0.0, x * params.mirror_freq):
+        points = ce.power_sweep(powers, delta, params)
+        assert float64_bytes(points) == float64_bytes(per_point_sweep(powers, delta, params))
+
+
+def test_power_sweep_matches_scalar_path_across_sign_change(ref):
+    # a log grid over the pump at which tau_T switches sign at the probe resonance
+    params, _ = ref
+    powers = [0.0, *np.geomspace(1e-19, 5e-6, 400).tolist()]
+    points = ce.power_sweep(powers, params.mirror_freq, params)
+    assert float64_bytes(points) == float64_bytes(per_point_sweep(powers, params.mirror_freq, params))
+    below = [pt.tau_t for pt in points if 1e-9 < pt.power < 2.43994e-9]
+    above = [pt.tau_t for pt in points if 2.43994e-9 < pt.power < 1e-8]
+    assert below and above and max(below) < 0 < min(above)
+
+
 def test_power_sweep_zero_power_gap(ref):
     params, _ = ref
     (pt,) = ce.power_sweep([0.0], params.mirror_freq, params)
