@@ -110,13 +110,12 @@ class DriveParams:
 class DerivedConstants:
     """Quantities computed once from the raw inputs."""
 
-    coupling_freq: float  # rad/s, 2*pi*c / wavelength
     coupling_constant: float  # rad/(s*m), -coupling_freq / cavity_length
     drive_amplitude: float  # 1/s, sqrt(2*kappa*P_c / (hbar*coupling_freq))
 
 
 def derive(params: SystemParams, drive: DriveParams) -> DerivedConstants:
-    """Compute the optical frequency, optomechanical coupling and pump rate.
+    """Compute the optomechanical coupling and pump rate from omega_c = params.coupling_freq.
 
     The coupling constant g = -omega_c/L is negative by convention: pushing
     the membrane toward positive displacement lowers the mode frequency.
@@ -124,9 +123,7 @@ def derive(params: SystemParams, drive: DriveParams) -> DerivedConstants:
     omega_c = params.coupling_freq
     g = -omega_c / params.cavity_length
     eps_c = math.sqrt(2.0 * params.cavity_decay * drive.pump_power / (HBAR * omega_c))
-    return DerivedConstants(
-        coupling_freq=omega_c, coupling_constant=g, drive_amplitude=eps_c
-    )
+    return DerivedConstants(coupling_constant=g, drive_amplitude=eps_c)
 
 
 def reference_defaults() -> tuple[SystemParams, DriveParams]:

