@@ -249,10 +249,7 @@ def _note(msg: str) -> None:
 
 def _resolve_params(args) -> tuple[SystemParams, DriveParams]:
     """Config file first, then flags override individual fields."""
-    if args.config:
-        params, drive = load_params(args.config)
-    else:
-        params, drive = reference_defaults()
+    params, drive = load_params(args.config or {})
     if getattr(args, "power_uw", None) is not None:
         drive = replace(drive, pump_power=args.power_uw * 1e-6)
     return params, drive

@@ -197,13 +197,14 @@ def _exp(a) -> np.ndarray:
     """e^a for a <= 0, under 1 ulp for normal results, from exactly rounded float64 ops only.
 
     numpy's np.exp and libm's exp differ in the last bit from machine to machine,
-    so the bytes would too.  Here a is clipped to [-746, 0] (e^-746 rounds to 0),
-    reduced as a = k ln2 + r, |r| <= ln2/2, with fdlibm's two-part ln2 (k*_LN2_HI
-    is exact), e^r is the Taylor polynomial 1 + r + r^2 (1/2! + ... + r^11/13!)
-    by Horner, and 2^k is applied by ldexp.  A NaN's k casts to an arbitrary int
+    so the bytes would too.  Every caller passes a <= 0 (-0 gives 1, as +0 does).
+    Here a is raised to at least -746 (e^-746 rounds to 0), reduced as
+    a = k ln2 + r, |r| <= ln2/2, with fdlibm's two-part ln2 (k*_LN2_HI is exact),
+    e^r is the Taylor polynomial 1 + r + r^2 (1/2! + ... + r^11/13!) by Horner,
+    and 2^k is applied by ldexp.  A NaN's k casts to an arbitrary int
     (numpy warns as invalid) and the result stays NaN.
     """
-    a = np.clip(a, -746.0, 0.0)
+    a = np.maximum(a, -746.0)
     k = np.rint(a * _INV_LN2)
     r = a - k * _LN2_HI
     r -= k * _LN2_LO

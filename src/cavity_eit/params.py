@@ -37,7 +37,7 @@ class ParameterError(ValueError):
 
 def _require_positive(name: str, value: float) -> None:
     if not (value > 0) or not math.isfinite(value):
-        raise ParameterError(f"{name} must be strictly positive, got {value!r}")
+        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class DriveParams:
     def __post_init__(self) -> None:
         if not (self.pump_power >= 0) or not math.isfinite(self.pump_power):
             raise ParameterError(
-                f"pump_power must be non-negative, got {self.pump_power!r}"
+                f"pump_power must be non-negative and finite, got {self.pump_power!r}"
             )
 
 

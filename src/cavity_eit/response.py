@@ -23,10 +23,11 @@ Delays where the relevant amplitude magnitude falls below
 ``AMPLITUDE_FLOOR`` are reported as NaN rather than as a huge number:
 1/eps_X amplifies roundoff without bound there, and at the empty-cavity
 resonance eps_R is genuinely zero, so no finite value would be honest.
-Where |den| falls below ``DENOMINATOR_FLOOR`` eps_T and both delays are
-NaN, for a scalar detuning as for an array.  NaN propagates through
-tables and CSV output as a gap; command-line entry points translate it to
-a nonzero exit status when a single requested scalar is undefined.
+Where den is exactly zero eps_T and both delays are NaN, for a scalar
+detuning as for an array.  No threshold is set on den, whose units depend
+on the unit of time.  NaN propagates through tables and CSV output as a
+gap; command-line entry points translate it to a nonzero exit status when
+a single requested scalar is undefined.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ ArrayLike = Union[float, np.ndarray]
 
 # |eps_X| below which a group delay is declared undefined.
 AMPLITUDE_FLOOR = 1e-9
-# |denominator| below which the response is undefined: eps_T and both delays
-# are NaN there, from every entry point, scalar or array.
-DENOMINATOR_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -123,11 +121,10 @@ def _response(delta: ArrayLike, params: SystemParams, alpha: ArrayLike):
     """The one evaluation of the response: eps_T and both exact delays.
 
     eps_T = (2k*num)/den; the delays are the quotient-rule log-derivatives.
-    Every detuning is first checked against |delta| < omega_c.  Where
-    |den| < DENOMINATOR_FLOOR the point is outside the physical
-    domain: eps_T and both delays are NaN there.  ``alpha`` may be an array
-    at one ``delta``: num and den are affine in alpha, so each point rounds
-    exactly as a scalar evaluation does.
+    Every detuning is first checked against |delta| < omega_c.  Where den
+    is exactly zero the quotient is undefined: eps_T and both delays are NaN
+    there.  ``alpha`` may be an array at one ``delta``: num and den are affine
+    in alpha, so each point rounds exactly as a scalar evaluation does.
     """
     _check_detuning(delta, params)
     num, dnum, den, dden = _pieces(delta, params, alpha)
@@ -135,8 +132,7 @@ def _response(delta: ArrayLike, params: SystemParams, alpha: ArrayLike):
     rnum = k2 * num - den  # eps_r = rnum / den
     drnum = k2 * dnum - dden
     with np.errstate(divide="ignore", invalid="ignore"):
-        eps_t = np.where(np.abs(den) < DENOMINATOR_FLOOR, complex(np.nan, np.nan),
-                         k2 * num / den)
+        eps_t = np.where(den == 0, complex(np.nan, np.nan), k2 * num / den)
         tau_t = np.imag(dnum / num - dden / den)
         tau_r = np.imag(drnum / rnum - dden / den)
     return eps_t, _mask_floor(tau_t, eps_t), _mask_floor(tau_r, eps_t - 1.0)

@@ -473,6 +473,29 @@ def test_overflowing_wavelength_rejected(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# a NaN or infinite input is refused by the rule that names finiteness; the second
+# column is the whole error line after "error: "
+NON_FINITE_INPUTS = {
+    "power-nan": (["steady-state", "--power-uw", "nan"], "pump_power must be non-negative and finite, got nan"),
+    "power-inf": (["steady-state", "--power-uw", "inf"], "pump_power must be non-negative and finite, got inf"),
+    "sweep-power-nan": (["delay-sweep", "--powers-uw", "nan"], "pump_power must be non-negative and finite, got nan"),
+    "config-mass-nan": (["spectrum", "--config", '{"mirror_mass": NaN}'], "mirror_mass must be positive and finite, got nan"),
+}
+
+
+@pytest.mark.parametrize("argv,message", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS.keys())
+def test_non_finite_input_names_its_rule(tmp_path, capsys, argv, message):
+    if "--config" in argv:  # JSON's NaN literal loads as a float NaN
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(argv[-1])
+        argv = [*argv[:-1], str(cfg)]
+    out = tmp_path / "x.csv"
+    assert run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_dynamics_expm_default_step_ignores_stability_limit(tmp_path):
     # expm has no stability bound: at delta = 0, rho(M) = 9.2e11 1/s would make
     # RK4's default step 2.2e-14 s, about 2.7e9 steps; expm takes a 64th of the width

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import cavity_eit as ce
 from cavity_eit import dynamics
+from cavity_eit.cli import FIGURE_RUNS, main
 from cavity_eit.dynamics import METHOD_EXPM, METHOD_RK4, PULSE_SHAPES
+from cavity_eit.params import C_LIGHT, HBAR
 
 from conftest import near_reference, steady_at
 
@@ -969,3 +971,110 @@ def test_kick_displaces_then_relaxes(matrix_5uw, steady_5uw):
     assert env[i_peak] > 10 * env[traj.times < 15 * w].max()
     late = traj.times > 60 * w
     assert env[late].max() < 0.5 * env[i_peak]
+
+
+# --- the unlinearised equations (ROADMAP item 13) ------------------------------
+
+
+def unlinearised_rk4(params, power, h, probe):
+    """Classical RK4 of the equations both halves linearise, as a per-step loop.
+
+        dc/dt = -(2k + i Delta) c - i g x c + eps_c + eps_p(t) e^{-i delta t}
+        m (x'' + gamma_m x' + omega_m^2 x) = -hbar g (|c|^2 - |c0|^2),  x = q - q0
+
+    from the probe-off fixed point c = c0, x = x' = 0.  ``probe[j]`` is the probe
+    term eps_p(t) e^{-i delta t} at t = j*h/2, one column per run, so that runs at
+    several drive scales step together as one state; ``h`` is one step, or one
+    per column.  g, eps_c and c0 come from C_LIGHT and HBAR, not from the library.
+    Returns c - c0, x and c0, the states after every step with the initial one first.
+    """
+    omega_c = 2.0 * math.pi * C_LIGHT / params.wavelength
+    g = -omega_c / params.cavity_length
+    eps_c = math.sqrt(2.0 * params.cavity_decay * power / (HBAR * omega_c))
+    c0 = eps_c / (2.0 * params.cavity_decay + 1j * params.effective_detuning)
+    n0 = c0.real**2 + c0.imag**2
+    a = -(2.0 * params.cavity_decay + 1j * params.effective_detuning)
+    gm, om2, force = params.mirror_damping, params.mirror_freq**2, HBAR * g / params.mirror_mass
+    drive = eps_c + probe
+
+    def rhs(c, x, v, p):
+        return (a - 1j * g * x) * c + p, v, -gm * v - om2 * x - force * (c.real**2 + c.imag**2 - n0)
+
+    c = np.full(probe.shape[1:], c0)
+    x = np.zeros(probe.shape[1:])
+    v = np.zeros(probe.shape[1:])
+    cs, xs = [c], [x]
+    for n in range(len(probe) // 2):
+        p0, p1, p2 = drive[2 * n], drive[2 * n + 1], drive[2 * n + 2]
+        k1 = rhs(c, x, v, p0)
+        k2 = rhs(c + 0.5 * h * k1[0], x + 0.5 * h * k1[1], v + 0.5 * h * k1[2], p1)
+        k3 = rhs(c + 0.5 * h * k2[0], x + 0.5 * h * k2[1], v + 0.5 * h * k2[2], p1)
+        k4 = rhs(c + h * k3[0], x + h * k3[1], v + h * k3[2], p2)
+        c, x, v = (y + (h / 6.0) * (s1 + 2.0 * (s2 + s3) + s4)
+                   for y, s1, s2, s3, s4 in zip((c, x, v), k1, k2, k3, k4))
+        cs.append(c)
+        xs.append(x)
+    return np.array(cs) - c0, np.array(xs), c0
+
+
+def test_unlinearised_fixed_point(ref, steady_5uw):
+    # with the probe off, (c0, x = 0) stays put, and c0 and the static force balance
+    # q0 = -hbar g |c0|^2 / (m omega_m^2) are the library's steady state
+    params, _ = ref
+    dc, x, c0 = unlinearised_rk4(params, 5e-6, 1e-8, np.zeros((2001, 1), dtype=complex))
+    assert np.abs(dc).max() <= 1e-12 * abs(c0)
+    assert np.abs(x).max() <= 1e-12 * steady_5uw.mirror_displacement
+    assert c0 == pytest.approx(steady_5uw.cavity_amp, rel=1e-15)
+    g = -2.0 * math.pi * C_LIGHT / params.wavelength / params.cavity_length
+    q0 = -HBAR * g * abs(c0) ** 2 / (params.mirror_mass * params.mirror_freq**2)
+    assert q0 == pytest.approx(steady_5uw.mirror_displacement, rel=1e-15)
+
+
+def test_unlinearised_cw_sideband_is_the_response(ref, steady_5uw):
+    # a constant probe at s = 1e-3 of eps_c and at s/2, at three detunings, with
+    # K = 64 and 128 steps per beat period, all 12 runs as one state.  After 44
+    # periods the slowest mode (64051 1/s) is gone; the sideband is demodulated over
+    # the next 4.  It has no s^2 term (second-order products beat at 0 and
+    # +-2 delta), so per unit probe (4 y(s/2) - y(s))/3 leaves O(s^4), and RK4's
+    # O(h^4) goes with (16 y(h) - y(2h))/15.  Measured against these settings:
+    # halving both steps moves the result by up to 5.9e-7 relative, 70 periods
+    # in place of 48 by 1.8e-8, halving both scales by 2.4e-12
+    params, _ = ref
+    om = params.mirror_freq
+    xs = np.array([1.0, 0.999, 1.01])
+    x, k, s = (a.ravel() for a in np.meshgrid(xs, [64.0, 128.0], [1.0, 0.5], indexing="ij"))
+    amp = s * 1e-3 * ce.derive(params, ce.DriveParams(pump_power=5e-6)).drive_amplitude
+    n = 48 * 128
+    probe = amp * np.exp(-1j * np.pi * np.arange(2 * n + 1)[:, None] / k)
+    dc, _, _ = unlinearised_rk4(params, 5e-6, 2.0 * np.pi / (x * om * k), probe)
+    steps = np.arange(n - 4 * 128 + 1, n + 1)[:, None]
+    y = ((dc[-4 * 128:] * np.exp(2j * np.pi * steps / k)).mean(axis=0) / amp).reshape(3, 2, 2)
+    y = (4.0 * y[..., 1] - y[..., 0]) / 3.0
+    y = (16.0 * y[:, 1] - y[:, 0]) / 15.0
+    want = ce.transmitted_amplitude(xs * om, params, steady_5uw) / (2.0 * params.cavity_decay)
+    assert (np.abs(y - want) <= 2e-6 * np.abs(want)).all()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_kick_matches_unlinearised_equations(ref, steady_5uw, tmp_path):
+    # fig9's run as it ships (RK4, 5,120 steps of width/64) against the linear limit
+    # 4 x(s/2) - x(s) of the unlinearised equations at the same step, s = the kick's
+    # 5 % of eps_c.  Measured: that limit is off by 1.0e-4 of its peak (from a third
+    # scale, s/4) and moves by 1.1e-9 when the step is halved; x(s) and 2 x(s/2)
+    # differ by 1.1 %.  The 2x2 engine is 75 % of the peak off
+    params, _ = ref
+    command, flags, _ = FIGURE_RUNS["fig9"][0]
+    out = tmp_path / "fig9.csv"
+    assert main([command, *flags, "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    w = kick_width(params)
+    h = 80.0 * w / 5120
+    t = np.arange(2 * 5120 + 1)[:, None] * (0.5 * h)
+    amp = float(flags[flags.index("--pulse-amp") + 1]) * np.array([1.0, 0.5])
+    probe = amp / np.cosh((t - 25.0 * w) / w) * np.exp(-1j * params.mirror_freq * t)
+    _, x, _ = unlinearised_rk4(params, 5e-6, h, probe)
+    linear = 4.0 * x[:, 1] - x[:, 0]
+    steps = np.rint(rows[:, 0] / h).astype(int)
+    assert np.array_equal(rows[:, 0], steps * h)
+    engine = rows[:, 5] - steady_5uw.mirror_displacement
+    assert np.abs(engine - linear[steps]).max() <= 3e-4 * np.abs(linear).max()

@@ -133,9 +133,11 @@ def test_phase_of_exact_zero_is_nan(ref):
 
 def degenerate_at_zero(params):
     # at zero detuning both response factors are real, so an interaction
-    # strength of -chi*w/(2*Delta) cancels the denominator exactly
-    m, om = params.mirror_mass, params.mirror_freq
-    chi_w = -m * om**2 * (4 * params.cavity_decay**2 + params.effective_detuning**2)
+    # strength of -chi*w/(2*Delta) cancels the denominator exactly.  Squares are
+    # products, as in response._pieces: x**2 is libm's pow, which can round the
+    # other way near a tie (omega_m = 668392.0093874397 rad/s)
+    m, om, k = params.mirror_mass, params.mirror_freq, params.cavity_decay
+    chi_w = -m * (om * om) * (4 * (k * k) + params.effective_detuning**2)
     return ce.SteadyState(
         cavity_amp=0j,
         photon_number=0.0,
@@ -216,6 +218,27 @@ def test_degenerate_point_is_nan_on_every_path(point):
     with mock.patch.object(response, "solve_steady", return_value=crafted):
         (pt,) = ce.power_sweep([0.0], 0.0, params)
     assert math.isnan(pt.tau_t) and math.isnan(pt.tau_r)
+
+
+@pytest.mark.parametrize("s", [1e-79, 1e-3, 1e3])
+def test_spectrum_does_not_depend_on_time_unit(ref, steady_5uw, s):
+    # the same system with time measured in units of 1/s: every rate and
+    # detuning times s, alpha (kg rad^3/s^3) times s^3, the mass left alone.  eps_T is
+    # unchanged and each delay divides by s.  At s = 1e-79 |den| is 8e-305 to
+    # 3e-303 kg rad^4/s^4, so an absolute floor on it would blank the whole
+    # spectrum; the worst relative differences measured are 1.8e-13 (eps_T)
+    # and 8.4e-13 (tau_R)
+    params, _ = ref
+    fields = ("mirror_freq", "mirror_damping", "cavity_decay", "effective_detuning")
+    scaled = dataclasses.replace(params, **{name: getattr(params, name) * s for name in fields})
+    steady = dataclasses.replace(steady_5uw, alpha=steady_5uw.alpha * s**3)
+    grid = np.linspace(0.5, 1.5, 2001) * params.mirror_freq
+    want = ce.spectrum(grid, params, steady_5uw)
+    got = ce.spectrum(grid * s, scaled, steady)
+    for a, b in ((got.eps_t, want.eps_t), (got.tau_t * s, want.tau_t), (got.tau_r * s, want.tau_r)):
+        assert (np.isnan(a) == np.isnan(b)).all()
+        defined = ~np.isnan(b)
+        assert (np.abs(a - b)[defined] <= 1e-11 * np.abs(b)[defined]).all()
 
 
 def test_conjugation_symmetry(ref, steady_5uw):
@@ -371,7 +394,7 @@ def test_power_sweep_validation(ref):
         ce.power_sweep([], 1.0, params)
     with pytest.raises(ce.ParameterError):
         ce.power_sweep([2e-6, 1e-6], 1.0, params)
-    with pytest.raises(ce.ParameterError, match=r"^pump_power must be non-negative, got -1e-06$"):
+    with pytest.raises(ce.ParameterError, match=r"^pump_power must be non-negative and finite, got -1e-06$"):
         ce.power_sweep([-1e-6, 1e-6], 1.0, params)
 
 
