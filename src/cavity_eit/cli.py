@@ -232,11 +232,8 @@ def _emit(data: bytes, out: str | Path) -> None:
         sys.stdout.flush()
         sys.stdout.buffer.write(data)
         return
-    try:
-        Path(out).write_bytes(data)
-    except FileNotFoundError:  # a missing directory is made at the first file written into it
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_bytes(data)
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
+    Path(out).write_bytes(data)
 
 
 def _emit_json(doc: dict, out: str | Path) -> None:
@@ -245,14 +242,6 @@ def _emit_json(doc: dict, out: str | Path) -> None:
 
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _resolve_params(args) -> tuple[SystemParams, DriveParams]:
-    """Config file first, then flags override individual fields."""
-    params, drive = load_params(args.config or {})
-    if getattr(args, "power_uw", None) is not None:
-        drive = replace(drive, pump_power=args.power_uw * 1e-6)
-    return params, drive
 
 
 def _powers_uw(raw: str | None) -> list[float]:
@@ -268,13 +257,21 @@ def _powers_uw(raw: str | None) -> list[float]:
 # ---------------------------------------------------------------------------
 # subcommands
 #
-# Each data command writes its output and returns the record of the values
-# it resolved (parameters, grid, powers, pulse, step); a figure bundle writes
-# that record to its sidecar under the run's command, so the sidecar replays it.
+# _run resolves a data command's parameters and records them; the command writes
+# its output and returns the rest of the record (grid, powers, pulse, step).  A
+# figure bundle writes the record to its sidecar, so the sidecar replays the run.
 
 
-def _cmd_steady_state(args) -> dict:
-    params, drive = _resolve_params(args)
+def _run(args) -> dict:
+    """Run a data command on its --config, --power-uw replacing the pump; return its record."""
+    params, drive = load_params(args.config or {})
+    if getattr(args, "power_uw", None) is not None:
+        drive = replace(drive, pump_power=args.power_uw * 1e-6)
+    record = args.command_func(args, params, drive)
+    return {"params": _param_dict(params, drive), **record}
+
+
+def _cmd_steady_state(args, params: SystemParams, drive: DriveParams) -> dict:
     st = solve_steady(params, derive(params, drive))
     doc = {
         "c0_re": st.cavity_amp.real,
@@ -288,7 +285,7 @@ def _cmd_steady_state(args) -> dict:
         f"steady-state: photon_number={st.photon_number:.6e} "
         f"alpha={st.alpha:.6e} -> {args.out}"
     )
-    return {"params": _param_dict(params, drive)}
+    return {}
 
 
 def _make_grid(args, params: SystemParams) -> np.ndarray:
@@ -305,11 +302,10 @@ def _make_grid(args, params: SystemParams) -> np.ndarray:
     return np.linspace(lo, hi, args.grid_n)
 
 
-def _cmd_spectrum(args) -> dict:
-    params, drive = _resolve_params(args)
+def _cmd_spectrum(args, params: SystemParams, drive: DriveParams) -> dict:
     st = solve_steady(params, derive(params, drive))
     grid = _make_grid(args, params)
-    table = spectrum(grid, params, st, power=drive.pump_power)
+    table = spectrum(grid, params, st)
     columns = (table.delta, table.delta / params.mirror_freq, table.transmission, table.reflection,
                table.eps_t.real, table.eps_t.imag, table.phase_t, table.tau_t, table.tau_r)
     _emit(_csv(SPECTRUM_HEADER, *columns), args.out)
@@ -321,15 +317,13 @@ def _cmd_spectrum(args) -> dict:
         f"delta/omega_m={table.delta[i_min] / params.mirror_freq:.6f} -> {args.out}"
     )
     return {
-        "params": _param_dict(params, drive),
         "grid": {
             "min": args.grid_min, "max": args.grid_max, "n": args.grid_n, "unit": "mirror_freq"
         },
     }
 
 
-def _cmd_power_sweep(args) -> dict:
-    params, drive = _resolve_params(args)
+def _cmd_power_sweep(args, params: SystemParams, drive: DriveParams) -> dict:
     powers_uw = _powers_uw(args.powers_uw)
     delta = args.delta_over_omega_m * params.mirror_freq
     points = power_sweep([p * 1e-6 for p in powers_uw], delta, params)
@@ -347,14 +341,12 @@ def _cmd_power_sweep(args) -> dict:
         f"-> {args.out}"
     )
     return {
-        "params": _param_dict(params, drive),
         "powers_uw": powers_uw,
         "delta_over_omega_m": args.delta_over_omega_m,
     }
 
 
-def _cmd_dynamics(args) -> dict:
-    params, drive = _resolve_params(args)
+def _cmd_dynamics(args, params: SystemParams, drive: DriveParams) -> dict:
     derived = derive(params, drive)
     st = solve_steady(params, derived)
     delta = args.delta_over_omega_m * params.mirror_freq
@@ -382,7 +374,6 @@ def _cmd_dynamics(args) -> dict:
         f"-> {args.out}"
     )
     return {
-        "params": _param_dict(params, drive),
         "pulse": {
             "shape": pulse.shape,
             "amplitude": pulse.amplitude,
@@ -553,14 +544,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steady-state", help="probe-off working point as JSON")
     common(p)
-    p.set_defaults(func=_cmd_steady_state)
+    p.set_defaults(func=_run, command_func=_cmd_steady_state)
 
     p = sub.add_parser("spectrum", help="probe response over a detuning grid as CSV")
     common(p)
     p.add_argument("--grid-min", type=float, default=0.5, help="grid start, units of mirror_freq")
     p.add_argument("--grid-max", type=float, default=1.5, help="grid end, units of mirror_freq")
     p.add_argument("--grid-n", type=int, default=2001, help="number of grid points")
-    p.set_defaults(func=_cmd_spectrum)
+    p.set_defaults(func=_run, command_func=_cmd_spectrum)
 
     for name in ("delay-sweep", "width-sweep"):
         p = sub.add_parser(name, help="delays and transparency width vs pump power as CSV")
@@ -575,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default=1.0,
             help="probe detuning in units of mirror_freq",
         )
-        p.set_defaults(func=_cmd_power_sweep)
+        p.set_defaults(func=_run, command_func=_cmd_power_sweep)
 
     p = sub.add_parser("dynamics", help="pulsed-probe time evolution as CSV")
     common(p)
@@ -589,7 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, help="integration step (default: width/64, for rk4 at most 0.02/rho(M))")
     p.add_argument("--samples", type=int, default=4096, help="max output rows")
     p.add_argument("--method", choices=(METHOD_RK4, METHOD_EXPM), default=METHOD_RK4)
-    p.set_defaults(func=_cmd_dynamics)
+    p.set_defaults(func=_run, command_func=_cmd_dynamics)
 
     p = sub.add_parser("figure", help="write the data bundle behind one published figure")
     p.add_argument("figure_id", choices=list(FIGURE_IDS))

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from cavity_eit.cli import (
     emit_figure_bundle,
     main,
 )
+from cavity_eit.params import _param_dict, load_params
 
 from conftest import steady_at
 
@@ -302,6 +304,21 @@ def test_config_file_and_flag_override(tmp_path):
     n1 = json.loads(out1.read_text())["photon_number"]
     n2 = json.loads(out2.read_text())["photon_number"]
     assert n2 == pytest.approx(4 * n1, rel=1e-13)
+
+
+@pytest.mark.parametrize("command", ["steady-state", "spectrum", "delay-sweep", "width-sweep", "dynamics"])
+def test_record_params_are_config_then_power_flag(tmp_path, command):
+    # the record's params are the config's, with --power-uw replacing its pump;
+    # the sweeps take no --power-uw and keep the config's pump
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps({"pump_power_uw": 1.0, "mirror_damping": 1.5}))
+    power = [] if command.endswith("-sweep") else ["--power-uw", "2"]
+    args = _build_parser().parse_args([command, "--config", str(cfg), *power, "--out", str(tmp_path / "out")])
+    record = args.func(args)
+    params, drive = load_params(cfg)
+    if power:
+        drive = replace(drive, pump_power=2e-6)
+    assert record["params"] == _param_dict(params, drive)
 
 
 def test_out_into_missing_directories(tmp_path, capsys):

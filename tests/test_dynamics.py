@@ -97,28 +97,33 @@ def test_transfer_function_delay_is_frequency_domain_delay(ref):
     assert tau == pytest.approx(ce.group_delay_analytic(om, params, st).tau_t, rel=1e-6)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
-def test_instability_threshold_is_where_response_poles_cross(ref):
-    # the roots of den(delta) = chi(delta) w(delta) + 2 Delta alpha, the quartic
-    # denominator of response._pieces, are the poles of the probe response; the
-    # pump power P* at which one crosses into Im delta > 0 is where the
-    # linearised dynamics must stop relaxing
-    params, _ = ref
+def top_pole(params, power):
+    """The largest Im delta of the probe response's poles at pump power `power` (W).
+
+    The roots of den(delta) = chi(delta) w(delta) + 2 Delta alpha, the quartic
+    denominator of response._pieces, are the poles of the probe response; the
+    linearised dynamics relax exactly where every one has Im delta < 0.
+    """
     m, om, gm = params.mirror_mass, params.mirror_freq, params.mirror_damping
     k2, det = 2.0 * params.cavity_decay, params.effective_detuning
     chi = m * np.array([1.0, 1j * gm, -om * om])  # m (d^2 + i gm d - om^2)
     w = np.array([-1.0, -2j * k2, k2 * k2 + det * det])  # (k2 - i d)^2 + det^2
+    den = np.polymul(chi, w)
+    den[-1] += 2.0 * det * steady_at(params, power).alpha
+    return np.roots(den).imag.max()
 
-    def top_pole(power):
-        den = np.polymul(chi, w)
-        den[-1] += 2.0 * det * steady_at(params, power).alpha
-        return np.roots(den).imag.max()
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_instability_threshold_is_where_response_poles_cross(ref):
+    # the pump power P* at which a pole of the response crosses into Im delta > 0
+    # is where the linearised dynamics must stop relaxing
+    params, _ = ref
+    om = params.mirror_freq
     lo, hi = 100e-6, 200e-6
-    assert top_pole(lo) < 0 < top_pole(hi)
+    assert top_pole(params, lo) < 0 < top_pole(params, hi)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if top_pole(mid) < 0 else (lo, mid)
+        lo, hi = (mid, hi) if top_pole(params, mid) < 0 else (lo, mid)
     assert 137e-6 < lo < 138e-6
 
     def build(power):
@@ -128,6 +133,19 @@ def test_instability_threshold_is_where_response_poles_cross(ref):
     build(0.98 * lo)
     with pytest.raises(ce.InstabilityError):
         build(1.02 * lo)
+
+
+@pytest.mark.xfail(strict=True, raises=ce.InstabilityError, reason="ROADMAP item 2")
+def test_matrix_accepts_working_points_whose_poles_decay(ref):
+    # at 5 uW every pole of the response decays (the slowest at 6.4e4 1/s), yet
+    # the 2x2 model finds an eigenvalue with real part -4.1e3 1/s at
+    # delta = 0.3 omega_m; it refuses about (0, 0.41] and [-3, -2.41] omega_m
+    params, drive = ref
+    assert top_pole(params, drive.pump_power) < 0
+    der = ce.derive(params, drive)
+    st = ce.solve_steady(params, der)
+    for x in (0.3, -2.5):
+        ce.build_matrix(x * params.mirror_freq, params, der, st)
 
 
 # --- pulse envelopes ----------------------------------------------------------
