@@ -32,7 +32,9 @@ every stride-th state, so c steps, c a divisor of the stride, are first
 composed into one step of the same form, (P^c, K) with c*q samples, and
 the scan forms only the states at multiples of c.  Rules, fold and engine
 are fixed-order float64 polynomials in the real form of M, free of BLAS
-and LAPACK.  Sharing them, the methods are no oracles for each other; the
+and LAPACK; so are M's two eigenvalues, the closed-form roots of
+x^2 - (A + D) x + (AD - BC), the larger in magnitude first.  Sharing
+rules, fold and engine, the methods are no oracles for each other; the
 per-step loops in the tests are.  Each W_j is one real column, the
 response to a real unit drive: a real envelope enters through it alone,
 and a complex drive's imaginary part as i times its response, since every
@@ -54,6 +56,7 @@ real q_plus.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
@@ -240,10 +243,15 @@ def build_matrix(
 ) -> SystemMatrix:
     """Assemble the 2x2 sideband matrix and verify that it relaxes.
 
-    The detuning has the response's domain, |delta| < omega_c.  Both
-    eigenvalues must have positive real part; otherwise the linearized
-    dynamics grow without bound (parametric instability at high pump
-    power) and InstabilityError is raised.
+    The detuning has the response's domain, |delta| < omega_c.  The
+    eigenvalues are the roots of x^2 - (a + d) x + (ad - bc), the larger in
+    magnitude first: (a + d)/2 plus or minus sqrt(((a - d)/2)^2 + bc), with
+    the sign that adds to (a + d)/2 and so does not cancel, then the other
+    as (ad - bc) over it (Vieta).  An entry or eigenvalue that overflows
+    float64 raises ParameterError.  Both eigenvalues must have positive
+    real part; otherwise the linearized dynamics grow without bound
+    (parametric instability at high pump power) and InstabilityError is
+    raised.
     """
     _check_detuning(delta, params)
     m = params.mirror_mass
@@ -265,7 +273,13 @@ def build_matrix(
     c = 1j * g * c0
     d = 2.0 * kappa + 1j * (det - delta)
 
-    eig = np.linalg.eigvals(np.array([[a, b], [c, d]]))
+    half, root = (a + d) / 2, cmath.sqrt((a - d) * (a - d) / 4 + b * c)
+    big = half + root if (half.conjugate() * root).real >= 0 else half - root
+    eig = (big, (a * d - b * c) / big if big else 0j)
+    if not all(map(cmath.isfinite, (a, b, c, d, *eig))):
+        raise ParameterError(f"sideband matrix at delta={delta:.6e} rad/s overflows float64: "
+                             f"entries {a:.3e}, {b:.3e}, {c:.3e}, {d:.3e}, "
+                             f"eigenvalues {eig[0]:.3e}, {eig[1]:.3e}")
     if eig[0].real <= 0 or eig[1].real <= 0:
         raise InstabilityError(
             "sideband matrix has a non-decaying eigenmode: eigenvalues "

@@ -351,6 +351,19 @@ def test_numerical_exit_code_for_instability(tmp_path, capsys):
     assert "eigenvalue" in capsys.readouterr().err
 
 
+def test_non_finite_sideband_matrix_refused(tmp_path, capsys):
+    # at delta = 0, v = gamma_m = 1e-300 and a = (-dd + i alpha)/(m v u) overflows
+    cfg = tmp_path / "gm.json"
+    cfg.write_text('{"mirror_damping": 1e-300}')
+    out = tmp_path / "x.csv"
+    argv = ["--config", str(cfg), "--delta-over-omega-m", "0", "--method", "expm", "--samples", "5"]
+    assert run("dynamics", *argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sideband matrix at delta=0.000000e+00 rad/s overflows float64")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_dynamics_csv(tmp_path):
     out = tmp_path / "dyn.csv"
     assert run("dynamics", "--samples", "200", "--out", str(out)) == 0

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -146,6 +147,62 @@ def test_matrix_accepts_working_points_whose_poles_decay(ref):
     st = ce.solve_steady(params, der)
     for x in (0.3, -2.5):
         ce.build_matrix(x * params.mirror_freq, params, der, st)
+
+
+def sideband_entries(delta, params, der, steady):
+    """[[A, B], [C, D]] as the dynamics module docstring writes it, for LAPACK to solve."""
+    m, om, gm = params.mirror_mass, params.mirror_freq, params.mirror_damping
+    kappa, det, g, c0 = params.cavity_decay, params.effective_detuning, der.coupling_constant, steady.cavity_amp
+    v = gm - 1j * delta
+    u = 2.0 * kappa - 1j * (det + delta)
+    a = (-m * u * (1j * delta * gm + delta * delta - om * om) + 1j * steady.alpha) / (m * v * u)
+    b = HBAR * g * c0.conjugate() / (m * v)
+    return np.array([[a, b], [1j * g * c0, 2.0 * kappa + 1j * (det - delta)]])
+
+
+def random_working_points(n, seed=24):
+    """n seeded draws: mass, omega_m and gamma_m x0.5-2, kappa x0.3-3, Delta and delta
+    uniform over [-2, 2] and [-3, 3] omega_m, and a pump of 1 pW-10 mW, log-uniform."""
+    rng = np.random.default_rng(seed)
+    base, _ = ce.reference_defaults()
+    for _ in range(n):
+        x = 2.0 ** rng.uniform(-1.0, 1.0, 3)
+        om = base.mirror_freq * x[1]
+        params = dataclasses.replace(
+            base, mirror_mass=base.mirror_mass * x[0], mirror_freq=om,
+            mirror_damping=base.mirror_damping * x[2],
+            cavity_decay=base.cavity_decay * 10.0 ** rng.uniform(math.log10(0.3), math.log10(3.0)),
+            effective_detuning=rng.uniform(-2.0, 2.0) * om)
+        der = ce.derive(params, ce.DriveParams(pump_power=10.0 ** rng.uniform(-12.0, -2.0)))
+        yield rng.uniform(-3.0, 3.0) * om, params, der, ce.solve_steady(params, der)
+
+
+def test_eigenvalues_match_lapack():
+    # LAPACK as the oracle of the closed-form roots, over 3,000 draws (1,768 stable).
+    # Against a 50-digit evaluation LAPACK is the less accurate: 2.4e-14 rho at worst
+    # here, where the two eigenvalues lie close, against 4.1e-16 rho for the closed form
+    stable = 0
+    for delta, params, der, steady in random_working_points(3000):
+        want = np.linalg.eigvals(sideband_entries(delta, params, der, steady))
+        rho = np.abs(want).max()
+        try:
+            M = ce.build_matrix(delta, params, der, steady)
+        except ce.InstabilityError:
+            M = None
+        if np.abs(want.real).min() > 1e-12 * rho:  # the verdict, where LAPACK's sign is sure
+            assert (M is None) == (want.real.min() <= 0)
+        if M is None:
+            continue
+        stable += 1
+        l1, l2 = M.eigenvalues
+        assert abs(l1) >= abs(l2)
+        err = min(np.abs([l1, l2] - want).max(), np.abs([l2, l1] - want).max())
+        assert err <= 1e-13 * rho
+        # Vieta, relative to the size of the terms: a + d itself may be much
+        # smaller than rho, and its relative error then grows
+        assert abs(l1 + l2 - (M.a + M.d)) <= 1e-14 * (abs(l1) + abs(l2))
+        assert abs(l1 * l2 - (M.a * M.d - M.b * M.c)) <= 1e-14 * abs(l1 * l2)
+    assert stable > 1000
 
 
 # --- pulse envelopes ----------------------------------------------------------
@@ -914,6 +971,16 @@ def test_expm_matches_loop_at_zero_detuning(matrix_5uw):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
+def refuse_linalg(monkeypatch):
+    """Make every public np.linalg callable raise, for the rest of the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called by the library")
+
+    for name, obj in vars(np.linalg).items():
+        if callable(obj) and not isinstance(obj, type) and not name.startswith("_"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+
 @pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
 def test_integrate_calls_no_linalg(matrix_5uw, monkeypatch, method):
     # the bytes must not depend on the LAPACK build: both steps come from
@@ -921,16 +988,44 @@ def test_integrate_calls_no_linalg(matrix_5uw, monkeypatch, method):
     _, _, M = matrix_5uw
     pulse = ce.PulseSpec("sech", 1.0, 1e-6, 25e-6)
     want = ce.integrate(M, pulse, (0.0, 60e-6), 1e-8, method=method)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.linalg called by integrate")
-
-    for name, obj in vars(np.linalg).items():
-        if callable(obj) and not isinstance(obj, type) and not name.startswith("_"):
-            monkeypatch.setattr(np.linalg, name, refuse)
+    refuse_linalg(monkeypatch)
     got = ce.integrate(M, pulse, (0.0, 60e-6), 1e-8, method=method)
     assert np.array_equal(got.q_plus, want.q_plus)
     assert np.array_equal(got.c_plus, want.c_plus)
+
+
+def test_library_path_calls_no_linalg(ref, tmp_path, monkeypatch, capsys):
+    # nor on LAPACK's eigensolver: build_matrix forms its eigenvalues in closed
+    # form, so the matrix, its stability verdict and every command's bytes and
+    # exit code are the same with np.linalg refused
+    params, _ = ref
+
+    def build(power):
+        der = ce.derive(params, ce.DriveParams(pump_power=power))
+        return ce.build_matrix(params.mirror_freq, params, der, steady_at(params, power))
+
+    def verdict(power):
+        with pytest.raises(ce.InstabilityError) as err:
+            build(power)
+        return str(err.value)
+
+    runs = (["figure", "fig9", "--out-dir"], ["dynamics", "--method", "expm", "--out"],
+            ["dynamics", "--power-uw", "2000", "--out"])
+
+    def commands(root):
+        out = []
+        for i, argv in enumerate(runs):
+            where = root / str(i)
+            code = main([*argv, str(where / "x.csv" if argv[-1] == "--out" else where)])
+            files = sorted(where.rglob("*")) if where.exists() else []
+            err = capsys.readouterr().err.replace(str(root), "")
+            out.append((code, err, [(f.name, f.read_bytes()) for f in files]))
+        return out
+
+    want = build(5e-6), verdict(2e-3), commands(tmp_path / "want")
+    refuse_linalg(monkeypatch)
+    assert (build(5e-6), verdict(2e-3), commands(tmp_path / "got")) == want
+    assert [code for code, _, _ in want[2]] == [0, 0, 2]
 
 
 @pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
