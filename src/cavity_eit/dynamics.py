@@ -41,10 +41,14 @@ and a complex drive's imaginary part as i times its response, since every
 P and W commutes with i.  The forcing is sampled at every step's
 times all the same, in one call per _BLOCK steps or fewer: a PulseSpec's
 envelope takes an array of times (a plain callable is still called once
-per time).  The envelope's exponential is
-_exp, a range reduction and a Taylor polynomial in exactly rounded float64
-array ops: numpy's SIMD exp and cosh, and libm's, differ in the last bit
-from machine to machine, and a call to libm per sample is slow.
+per time).  A block's calls fill one sample matrix, which one product
+with the W columns weighs, and a product of two small matrices forms all
+its terms in one multiply, then adds them in the same order: numpy's
+call overhead, not arithmetic, is what these small products cost.  The
+envelope's exponential is _exp, a range reduction and a Taylor
+polynomial in exactly rounded float64 array ops: numpy's SIMD exp and
+cosh, and libm's, differ in the last bit from machine to machine, and a
+call to libm per sample is slow.
 
 The membrane displacement is reconstructed as
 
@@ -313,8 +317,19 @@ def _dot(row, xs):
 
 
 def _apply(a: np.ndarray, x) -> np.ndarray:
-    """a @ x as a fixed-order sum of float64 products, without BLAS and its machine-chosen order."""
+    """a @ x as a fixed-order sum of float64 products, without BLAS and its machine-chosen order.
+
+    For a wide x, the forcing and the scan: one multiply and one add per column of a,
+    each the size of the result, where _mul's terms would be a.shape[1] times larger.
+    """
     return _dot(a.T[:, :, None], x)
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for small a and b, bit for bit _apply's: every term in one multiply, then one
+    add.accumulate down the terms.  Its partial sums are its outputs, so it adds left to
+    right; a reduce may sum pairwise, in another order."""
+    return np.add.accumulate(a.T[:, :, None] * b[:, None, :])[-1]
 
 
 def _real_form(m: np.ndarray) -> np.ndarray:
@@ -324,10 +339,10 @@ def _real_form(m: np.ndarray) -> np.ndarray:
 
 
 def _powers(x: np.ndarray, n: int) -> list[np.ndarray]:
-    """[1, x, x^2, ..., x^(n-1)], each power by _apply."""
+    """[1, x, x^2, ..., x^(n-1)], each power by _mul."""
     xs = [np.eye(len(x)), x]
     while len(xs) < n:
-        xs.append(_apply(xs[-1], x))
+        xs.append(_mul(xs[-1], x))
     return xs
 
 
@@ -368,7 +383,7 @@ def _expm_rule(matrix: SystemMatrix, h: float) -> tuple[np.ndarray, np.ndarray]:
         # small entries are never rounded against the 1 of I, whose error doubles
         x = _dot(_EXP_TAYLOR[1:], xs[1:])
         for _ in range(s):
-            x = 2.0 * x + _apply(x, x)
+            x = 2.0 * x + _mul(x, x)
         e = x + np.eye(n + 2)
     phi1, phi2 = e[:n, n : n + 1], e[:n, n + 1 :]
     return e[:n, :n], np.concatenate([phi1 - phi2, phi2], axis=1)
@@ -378,13 +393,16 @@ def _fold(p: np.ndarray, w: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]
     """c consecutive steps of the rule (P, W) as one step (P^c, K) with q' = c*q samples.
 
     Step i of the c takes samples q*i + j, j = 0..q, so K_m = sum of
-    P^(c-1-i) W_j over the i, j with q*i + j = m, added in order of i.
+    P^(c-1-i) W_j over the i, j with q*i + j = m.  The c products
+    P^(c-1-i) W are one _mul of the stacked powers; a column of K takes at
+    most two terms, W_q of step i - 1 and W_0 of step i, added to zero.
     """
-    q = w.shape[1] - 1
+    n, q = len(p), w.shape[1] - 1
     pk = _powers(p, c + 1)
-    k = np.zeros((len(p), c * q + 1))
-    for i in range(c):
-        k[:, q * i : q * (i + 1) + 1] += _apply(pk[c - 1 - i], w)
+    terms = _mul(np.concatenate(pk[c - 1 :: -1]), w).reshape(c, n, q + 1)
+    k = np.zeros((n, c * q + 1))
+    k[:, :-1] += terms[:, :, :q].transpose(1, 0, 2).reshape(n, c * q)
+    k[:, q::q] += terms[:, :, q].T
     return pk[c], k
 
 
@@ -392,36 +410,46 @@ def _scan(p, w, at, k0, n, every, v, f, per_call):
     """n steps of V' = P V + sum_j W_j f_(k0 + q*i + j), j = 0..q, from V = v and f_k0 = f.
 
     at(a, b) samples the forcing f_k at the sample indices a <= k < b,
-    called on at most per_call steps at a time; the first sample of each
-    call is the last of the one before.  Steps are solved in blocks of
-    _BLOCK: the forcing terms of a block's steps, the carried state added
-    as P V to the first of them, then a doubling prefix scan with P, P^2,
-    P^4, ...  Returns the states after steps every, 2*every, ... (one
-    array of columns per block), the state after step n and f_(k0 + q*n).
+    called on at most per_call steps at a time, in order; with f = None the
+    first call samples f_k0 as well.  Steps are solved in blocks of _BLOCK.
+    A block's calls fill one sample matrix, column i holding samples 0..q
+    of step i (row 0 is the carried sample, then row q of the column
+    before), which one _apply of W weighs; the carried state is added as
+    P V to the first step, then a doubling prefix scan with P, P^2, P^4,
+    ... gives every state.  Returns the states after steps every, 2*every,
+    ... (one array of columns per block), the state after step n and
+    f_(k0 + q*n).
     """
     q = w.shape[1] - 1
     pows = [p]
     while len(pows) < (min(n, _BLOCK) - 1).bit_length():
-        pows.append(_apply(pows[-1], pows[-1]))
+        pows.append(_mul(pows[-1], pows[-1]))
 
     kept = []
     for lo in range(0, n, _BLOCK):
-        y = np.empty((len(p), min(_BLOCK, n - lo)))
-        for a in range(0, y.shape[1], per_call):
-            b = min(a + per_call, y.shape[1])
-            # float unless f or a sample is complex: a callable may switch from call to call
-            fs = np.concatenate([[f], at(k0 + q * (lo + a) + 1, k0 + q * (lo + b) + 1)])
-            f = fs[-1]
-            # row j, j = 0..q, holds sample j of each step i, fs[q*i + j]
-            xs = np.concatenate([fs[:-1].reshape(-1, q).T, fs[None, q::q]])
-            y[:, a:b] = _apply(w, xs.real)
-            if np.iscomplexobj(xs):  # add i times the response to Im f, in real form
-                yi = _apply(w, xs.imag)
-                y[0::2, a:b] -= yi[1::2]
-                y[1::2, a:b] += yi[0::2]
-        y[:, :1] += _apply(p, v)
+        m = min(_BLOCK, n - lo)
+        # float until f or a sample is complex: a callable may turn complex at any call,
+        # and from then on every sample is; columns from turn on hold complex samples
+        turn = 0 if np.iscomplexobj(f) else m
+        xs = np.empty((q + 1, m), dtype=complex if turn == 0 else float)
+        for a in range(0, m, per_call):
+            b = min(a + per_call, m)
+            fs = np.asarray(at(k0 + q * (lo + a) + (f is not None), k0 + q * (lo + b) + 1))
+            if f is None:  # the first call samples f_k0 too
+                f, fs = fs[0], fs[1:]
+            if np.iscomplexobj(fs) and turn == m:
+                xs, turn = xs.astype(complex), a
+            xs[1:, a:b] = fs.reshape(-1, q).T
+        xs[0, 0], xs[0, 1:], f = f, xs[q, :-1], xs[q, -1]
+        y = _apply(w, xs.real)
+        if turn < m:  # add i times the response to Im f, in real form
+            yi = _apply(w, xs.imag[:, turn:])
+            y[0::2, turn:] -= yi[1::2]
+            y[1::2, turn:] += yi[0::2]
+        del xs, fs  # freed before the scan
+        y[:, :1] += _mul(p, v)
         # after the carry and the scan, y[:, i] is the state after step lo + i + 1
-        for k, pk in enumerate(pows[: (y.shape[1] - 1).bit_length()]):
+        for k, pk in enumerate(pows[: (m - 1).bit_length()]):
             y[:, 2**k :] += _apply(pk, y[:, : -(2**k)])
         v = y[:, -1:]
         kept.append(y[:, -(lo + 1) % every :: every].copy())  # a copy, so the block is freed
@@ -458,7 +486,7 @@ def _advance(
         return sample(t0 + np.arange(a, b) / q * h)
 
     v = np.zeros((len(p), 1))
-    kept, v, f = _scan(*_fold(p, w, c), at, 0, n, stride // c, v, at(0, 1)[0], _BLOCK // c)
+    kept, v, f = _scan(*_fold(p, w, c), at, 0, n, stride // c, v, None, _BLOCK // c)
     _, v, _ = _scan(p, w, at, q * c * n, n_steps % c, stride, v, f, _BLOCK)
     steps = np.arange(stride, n_steps + 1, stride)
     if n_steps % stride:

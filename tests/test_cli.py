@@ -739,6 +739,22 @@ def test_dynamics_hashes(tmp_path, shape, method):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DYNAMICS_SHA256[shape, method]
 
 
+# SHA-256 of `dynamics --method M --samples 161 --t-end 5.9684e-05` at default flags:
+# 5119 steps at stride 32, so 319 folded steps of 16, the widest fold, then a 15-step tail.
+WIDEST_FOLD_SHA256 = {
+    "rk4": "05d1e21ace6c3c7d5b2ccc9f9508c6b23ad765e2b73ff4c2294d2cabfbcefb71",
+    "expm": "10bdfd74879d9e034e626d9ffef675943a4009337b239a9bc6a42c0ffe39266c",
+}
+
+
+@pytest.mark.parametrize("method", list(WIDEST_FOLD_SHA256))
+def test_widest_fold_hashes(tmp_path, method):
+    out = tmp_path / "d.csv"
+    argv = ["dynamics", "--method", method, "--samples", "161", "--t-end", "5.9684e-05"]
+    assert run(*argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDEST_FOLD_SHA256[method]
+
+
 NO_SIMD = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
 
 

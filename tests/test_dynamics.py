@@ -832,6 +832,69 @@ def test_forcing_sampled_once_at_every_time(matrix_5uw, method, stride):
     assert sorted(times) == [t0 + k / q * h for k in range(q * n_steps + 1)]
 
 
+def bits(x):
+    """The raw bits of a float64 or complex128 array: equal only if every sign of zero is too."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def random_operand(rng, shape):
+    """Signed values across 16 decades, a fifth of them zeros of either sign."""
+    x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    return np.where(rng.random(shape) < 0.2, np.copysign(0.0, x), x)
+
+
+def test_small_product_equals_apply_bit_for_bit():
+    # _mul forms every term in one multiply and adds them as _apply does; one
+    # column operands are where np.add.reduce, which may sum pairwise, differs
+    rng = np.random.default_rng(25)
+    for _ in range(3000):
+        n, k, m = rng.integers(1, 11, 3)  # up to 10x10, a Van Loan matrix of 8 states
+        if rng.random() < 0.4:
+            m = 1
+        a, b = random_operand(rng, (n, k)), random_operand(rng, (k, m))
+        assert np.array_equal(bits(dynamics._mul(a, b)), bits(dynamics._apply(a, b)))
+
+
+def fold_reference(p, w, c):
+    """(P^c, K) step by step: K += P^(c-1-i) W over each step i's columns, every product by _apply."""
+    pk = [np.eye(len(p)), p]
+    while len(pk) < c + 1:
+        pk.append(dynamics._apply(pk[-1], p))
+    q = w.shape[1] - 1
+    k = np.zeros((len(p), c * q + 1))
+    for i in range(c):
+        k[:, q * i : q * (i + 1) + 1] += dynamics._apply(pk[c - 1 - i], w)
+    return pk[c], k
+
+
+@pytest.mark.parametrize("c", [1, 2, 8, 13, 16])
+@pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
+def test_fold_equals_step_by_step_reference(matrix_5uw, method, c):
+    _, _, M = matrix_5uw
+    rule = dynamics._rk4_rule if method == METHOD_RK4 else dynamics._expm_rule
+    rng = np.random.default_rng(c)
+    w_random = random_operand(rng, (4, 3 if method == METHOD_RK4 else 2))
+    w_random[:, 0] = -0.0  # a column of K with one term: added to zero, it is +0
+    cases = [rule(M, r / M.spectral_radius) for r in (0.05, 3.0)]
+    for p, w in [*cases, (random_operand(rng, (4, 4)), w_random)]:
+        for got, want in zip(dynamics._fold(p, w, c), fold_reference(p, w, c)):
+            assert np.array_equal(bits(got), bits(want))
+
+
+def test_float_call_of_a_block_turning_complex_keeps_its_zeros():
+    # P = I and W < 0 weigh zero samples to -0, which i times a zero imaginary part
+    # would make +0: the columns of the first call, all floats, take the real
+    # product alone, as if the second call, all complex, had not come
+    def first_call(turning):
+        at = lambda a, b: [0j if turning and k > 3 else 0.0 for k in range(a, b)]  # noqa: E731
+        kept, _, _ = dynamics._scan(np.eye(2), -np.ones((2, 2)), at, 0, 6, 1,
+                                    np.full((2, 1), -0.0), 0.0, 3)
+        return kept[0][:, :3]
+
+    assert np.signbit(first_call(turning=True)).all()
+    assert np.array_equal(bits(first_call(turning=True)), bits(first_call(turning=False)))
+
+
 # A real drive enters through one real column per sample; the imaginary part of
 # a complex one enters as i times the response to it.
 def block_edge_run(M):
@@ -899,6 +962,40 @@ def test_complex_valued_real_drive_equals_pulse(matrix_5uw, method, run):
                        samples=samples)
     for key in ("times", "q_plus", "c_plus"):
         assert np.array_equal(getattr(got, key), getattr(want, key))
+
+
+def folded_call_edge_run(M):
+    """(span, dt, samples): eight steps folded into one and a 7-step tail, 4799 steps in all,
+    so the one folded block takes two sampling calls, the first ending at step B."""
+    n_steps, samples = 8 * 600 - 1, 601
+    assert fold_of(-(-n_steps // (samples - 1))) == 8 and n_steps > B
+    dt = 0.05 / M.spectral_radius
+    return (0.0, n_steps * dt), dt, samples
+
+
+@pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
+def test_drive_turning_complex_at_a_folded_call_edge(matrix_5uw, method):
+    # floats in the first call of the block's sample matrix, complex numbers from
+    # the second on, where the matrix turns complex
+    _, _, M = matrix_5uw
+    span, dt, samples = folded_call_edge_run(M)
+    q = 2 if method == METHOD_RK4 else 1
+    edge = (B + 0.5 / q) * dt
+    pulse = scalar_forcing(ce.PulseSpec("sech", 1.0, span[1] / 8, edge))
+
+    def turning(t):
+        return pulse(t) if t < edge else pulse(t) * cmath.exp(0.3j * (t - edge) / dt)
+
+    assert_matches_loop(method, M, turning, span, dt, samples)
+    # with zero imaginary parts, the real drive's bits, signs of zeros too: the
+    # rectangle's drive is exact zeros on both sides of the edge
+    for shape, width, centre in (("sech", 80, 2400), ("rectangle", 400, 4600)):
+        real = ce.PulseSpec(shape, 1.0, width * dt, centre * dt).envelope
+        want = ce.integrate(M, real, span, dt, method=method, samples=samples)
+        got = ce.integrate(M, lambda t: real(t) if t < edge else complex(real(t)), span, dt,
+                           method=method, samples=samples)
+        for key in ("times", "q_plus", "c_plus"):
+            assert np.array_equal(bits(getattr(got, key)), bits(getattr(want, key)))
 
 
 @pytest.mark.parametrize("step_radius", [3.0, 1000.0])
@@ -1031,18 +1128,30 @@ def test_library_path_calls_no_linalg(ref, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
 def test_memory_does_not_grow_with_steps(matrix_5uw, method):
     _, _, M = matrix_5uw
-    n_steps = 10**6
     dt = 1e-9
     pulse = ce.PulseSpec("constant", 1.0, 1.0)
-    tracemalloc.start()
-    try:
-        traj = ce.integrate(M, pulse, (0.0, n_steps * dt), dt, method=method, samples=64)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(traj.times) == 64
+
+    def traced(n_steps, samples):
+        """The number of states kept and the traced peak of integrating n_steps."""
+        tracemalloc.start()
+        try:
+            traj = ce.integrate(M, pulse, (0.0, n_steps * dt), dt, method=method, samples=samples)
+            return len(traj.times), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    kept, peak = traced(10**6, 64)
+    assert kept == 64
     # one array of the 10^6 forcing samples alone would take 16 MB
     assert peak < 8 * 2**20
+    if method == METHOD_RK4:
+        # the widest sample matrix: stride 16 F folds F steps, 2 F + 1 rows of B
+        # floats per block (1.1 MB), over three blocks
+        n_steps, stride = 3 * F * B, 16 * F
+        assert fold_of(stride) == F
+        kept, peak = traced(n_steps, n_steps // stride + 1)
+        assert kept == n_steps // stride + 1
+        assert peak < 4 * 2**20
 
 
 # --- displacement reconstruction ----------------------------------------------
