@@ -51,12 +51,9 @@ from .response import (
     transmitted_amplitude,
 )
 from .dynamics import (
-    METHOD_EXPM,
-    METHOD_RK4,
     PULSE_SHAPES,
     InstabilityError,
     PulseSpec,
-    StepSizeError,
     build_matrix,
     integrate,
     reconstruct_displacement,
@@ -73,7 +70,7 @@ class UndefinedDelayError(ArithmeticError):
     """The group delay at the single requested sweep point is undefined."""
 
 
-NUMERICAL_ERRORS = (InstabilityError, StepSizeError, UndefinedDelayError)
+NUMERICAL_ERRORS = (InstabilityError, UndefinedDelayError)
 
 
 # The CSV float formatter.  A finite v != 0 is written as the 17 significant
@@ -361,11 +358,9 @@ def _cmd_dynamics(args, params: SystemParams, drive: DriveParams) -> dict:
         shape=args.pulse_shape, amplitude=args.pulse_amp, width=width, center=center
     )
     span = (args.t_start, args.t_end if args.t_end is not None else center + 55.0 * width)
-    # expm has no stability bound, and rho(M) is 9.2e11 1/s at delta = 0
-    limit = 0.02 / matrix.spectral_radius if args.method == METHOD_RK4 else math.inf
-    dt = args.dt if args.dt is not None else min(limit, width / 64.0)
+    dt = args.dt if args.dt is not None else width / 64.0
 
-    traj = integrate(matrix, pulse, span, dt, method=args.method, samples=args.samples)
+    traj = integrate(matrix, pulse, span, dt, samples=args.samples)
     traj = reconstruct_displacement(traj, st, delta)
     q, c = traj.q_plus, traj.c_plus
     _emit(_csv(DYNAMICS_HEADER, traj.times, q.real, q.imag, c.real, c.imag, traj.q_total), args.out)
@@ -382,6 +377,7 @@ def _cmd_dynamics(args, params: SystemParams, drive: DriveParams) -> dict:
         },
         "t_span_s": list(span),
         "dt_s": dt,
+        "samples": args.samples,
         "delta_over_omega_m": args.delta_over_omega_m,
     }
 
@@ -577,9 +573,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pulse-amp", type=float, default=1.0, help="peak probe drive in 1/s")
     p.add_argument("--t-start", type=float, default=0.0)
     p.add_argument("--t-end", type=float, help="default: centre + 55 widths")
-    p.add_argument("--dt", type=float, help="integration step (default: width/64, for rk4 at most 0.02/rho(M))")
+    p.add_argument("--dt", type=float, help="integration step (default: width/64)")
     p.add_argument("--samples", type=int, default=4096, help="max output rows")
-    p.add_argument("--method", choices=(METHOD_RK4, METHOD_EXPM), default=METHOD_RK4)
     p.set_defaults(func=_run, command_func=_cmd_dynamics)
 
     p = sub.add_parser("figure", help="write the data bundle behind one published figure")

@@ -18,10 +18,10 @@ sign for which the constant-forcing fixed point V = M^{-1} F reproduces
 the frequency-domain response exactly, which this package treats as a
 hard consistency requirement between its two halves.
 
-Two step rules are provided: classical fixed-step RK4, and an exponential
-step that is exact for a forcing interpolated linearly across the step
-(so for constant forcing at any step size).  For constant M each is the
-linear recurrence
+The step rule is an exponential step, exact for a forcing interpolated
+linearly across the step (so for constant forcing at any step size).
+Classical fixed-step RK4 stays as a reference rule, taken only on request.
+For constant M each is the linear recurrence
 
     V_{n+1} = P V_n + sum_j W_j f(t_n + j*h/q)
 
@@ -503,19 +503,20 @@ def integrate(
     forcing: Forcing,
     t_span: tuple[float, float],
     dt: float,
-    method: str = METHOD_RK4,
+    method: str = METHOD_EXPM,
     samples: int = 4096,
 ) -> Trajectory:
     """Integrate dV/dt = -M V + F(t) from V(t_start) = 0.
 
-    ``method="rk4"`` is classical fixed-step Runge-Kutta; it requires
-    dt * spectral_radius(M) <= 0.1 and rejects larger steps with the
-    maximal admissible dt in the message.  ``method="expm"`` propagates
-    each step with the exact matrix exponential and a linear
-    interpolation of the forcing across the step, so it has no stability
-    bound and is exact (to roundoff) for constant forcing.  Both solve the
-    steps in blocks rather than one at a time.  A pulse must be quiet at
-    t_start (QUIET_START_WIDTHS widths early); a callable is not checked.
+    ``method="expm"``, the default, propagates each step with the exact
+    matrix exponential and a linear interpolation of the forcing across
+    the step, so it has no stability bound and is exact (to roundoff) for
+    constant forcing.  ``method="rk4"`` is classical fixed-step
+    Runge-Kutta, kept as a reference; it requires dt * spectral_radius(M)
+    <= 0.1 and rejects larger steps with the maximal admissible dt in the
+    message.  Both solve the steps in blocks rather than one at a time.  A
+    pulse must be quiet at t_start (QUIET_START_WIDTHS widths early); a
+    callable is not checked.
 
     The output is decimated to at most ``samples`` points regardless of
     the integration step: the state after every stride-th step, stride =

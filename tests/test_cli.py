@@ -356,7 +356,7 @@ def test_non_finite_sideband_matrix_refused(tmp_path, capsys):
     cfg = tmp_path / "gm.json"
     cfg.write_text('{"mirror_damping": 1e-300}')
     out = tmp_path / "x.csv"
-    argv = ["--config", str(cfg), "--delta-over-omega-m", "0", "--method", "expm", "--samples", "5"]
+    argv = ["--config", str(cfg), "--delta-over-omega-m", "0", "--samples", "5"]
     assert run("dynamics", *argv, "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: sideband matrix at delta=0.000000e+00 rad/s overflows float64")
@@ -385,11 +385,6 @@ def test_probe_amplitude_scale_key_rejected(tmp_path, capsys):
     assert run("dynamics", "--config", str(cfg), "--out", str(out)) == 1
     assert "probe_amplitude_scale" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_dynamics_rejects_oversized_step(tmp_path, capsys):
-    assert run("dynamics", "--dt", "1.0", "--out", str(tmp_path / "x.csv")) == 2
-    assert "dt" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -526,10 +521,10 @@ def test_non_finite_input_names_its_rule(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-def test_dynamics_expm_default_step_ignores_stability_limit(tmp_path):
-    # expm has no stability bound: at delta = 0, rho(M) = 9.2e11 1/s would make
-    # RK4's default step 2.2e-14 s, about 2.7e9 steps; expm takes a 64th of the width
-    argv = ["dynamics", "--method", "expm", "--delta-over-omega-m", "0", "--samples", "3"]
+def test_dynamics_default_step_at_zero_detuning_is_width_over_64(tmp_path):
+    # the exponential step has no stability bound: at delta = 0, rho(M) = 9.2e11 1/s
+    # would hold RK4 to 2.2e-14 s, about 2.7e9 steps; the default takes 5,120
+    argv = ["dynamics", "--delta-over-omega-m", "0", "--samples", "3"]
     out = tmp_path / "d.csv"
     assert run(*argv, "--out", str(out)) == 0
     _, rows = read_csv(out)
@@ -540,17 +535,25 @@ def test_dynamics_expm_default_step_ignores_stability_limit(tmp_path):
 
 
 def test_dynamics_expm_matches_rk4(tmp_path):
-    kick = FIGURE_RUNS["fig9"][0][1]
-    assert run("dynamics", *kick, "--out", str(tmp_path / "rk4.csv")) == 0
-    assert run("dynamics", *kick, "--method", "expm", "--out", str(tmp_path / "expm.csv")) == 0
-    rk4 = np.loadtxt(tmp_path / "rk4.csv", delimiter=",", skiprows=1)
+    # the fig9 CSV against the reference RK4 rule on the same matrix, pulse, span and step
+    args = _build_parser().parse_args(["dynamics", *FIGURE_RUNS["fig9"][0][1],
+                                       "--out", str(tmp_path / "expm.csv")])
+    record = args.func(args)
     expm = np.loadtxt(tmp_path / "expm.csv", delimiter=",", skiprows=1)
-    assert np.array_equal(rk4[:, 0], expm[:, 0])
+    params, drive = ce.reference_defaults()
+    derived = ce.derive(params, drive)
+    st = ce.solve_steady(params, derived)
+    delta = record["delta_over_omega_m"] * params.mirror_freq
+    matrix = ce.build_matrix(delta, params, derived, st)
+    p = record["pulse"]
+    pulse = ce.PulseSpec(p["shape"], p["amplitude"], p["width_s"], p["center_s"])
+    rk4 = ce.integrate(matrix, pulse, tuple(record["t_span_s"]), record["dt_s"], method="rk4")
+    rk4 = ce.reconstruct_displacement(rk4, st, delta)
+    assert np.array_equal(rk4.times, expm[:, 0])
     # expm interpolates the forcing linearly across a step, an O(dt^2) error:
     # at the default step the two differ by 1.0e-6 (q_plus) and 5.5e-6 (c_plus)
     # of the peak, and by a quarter of that at half the step
-    for re_col in (1, 3):  # q_plus, c_plus
-        a = rk4[:, re_col] + 1j * rk4[:, re_col + 1]
+    for a, re_col in ((rk4.q_plus, 1), (rk4.c_plus, 3)):
         b = expm[:, re_col] + 1j * expm[:, re_col + 1]
         assert np.abs(a - b).max() <= 1e-5 * np.abs(a).max()
 
@@ -564,6 +567,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     for command in ("delay-sweep", "width-sweep"):
         assert run(command, "--power-uw", "1e305", "--out", str(tmp_path / "x.csv")) == 1
         assert "unrecognized arguments: --power-uw" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+    # the exponential step is the one rule, so the step rule is no flag of dynamics
+    assert run("dynamics", "--method", "rk4", "--out", str(tmp_path / "x.csv")) == 1
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
     assert run("steady-state", "--config", str(tmp_path / "missing.json")) == 1
     bad = tmp_path / "bad.json"
@@ -693,11 +700,11 @@ BUNDLE_SHA256 = {
     "fig8/fig8_config.json": "7cb9dbe8669f3c7a67fdd5283e9b1ecd0b86c574c38a58942e2580716839fd01",
     "fig8/fig8_width_sweep.csv": "7a124f7aaecf94f45ae77561464240ef887148e392327be5135cdb46aaff013a",
     "fig9/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
-    "fig9/fig9_config.json": "e3151a29ccbf5d6075fe30d6d3db0d464e460d261eeb0a6aab303f06f2938645",
-    "fig9/fig9_dynamics.csv": "ac277c6da3a4bbd7bcd5ecf97e4198792f0468baf862507355ae9f04f1601d01",
+    "fig9/fig9_config.json": "3e2364b11dbaa931420dd83adb3f3c57469c5e5099485639687956c3b4b1b9f9",
+    "fig9/fig9_dynamics.csv": "5b2b7be3cf0f8d30026c0955718436a9b180ae932db993aa5687cfd6cbfbb782",
     "fig10/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
-    "fig10/fig10_config.json": "1ab4e809c8dbd4d815e91ea784f206ef4e4564406b05471e89db6221b1eaf8f0",
-    "fig10/fig10_dynamics.csv": "ac277c6da3a4bbd7bcd5ecf97e4198792f0468baf862507355ae9f04f1601d01",
+    "fig10/fig10_config.json": "60971532887b1157b8dfac13e319b98148023407bd2f53f404fcfa29e750f39f",
+    "fig10/fig10_dynamics.csv": "5b2b7be3cf0f8d30026c0955718436a9b180ae932db993aa5687cfd6cbfbb782",
 }
 
 
@@ -717,42 +724,34 @@ def test_figure_bundle_hashes(bundles):
     assert got == BUNDLE_SHA256
 
 
-# SHA-256 of `dynamics --pulse-shape S --method M --samples 400` at default flags:
+# SHA-256 of `dynamics --pulse-shape S --samples 400` at default flags:
 # 5120 steps at stride 13, so 393 folded steps of 13, then an 11-step tail.
 DYNAMICS_SHA256 = {
-    ("sech", "rk4"): "e40fbe6c597a4c5c563ddfe119a63f07e9b12eb6c91292ea887eac44233e0e6a",
-    ("sech", "expm"): "8815f26dffa468e69cd7f8a405ac5382e1b190bd493325c56d62d1c793d59abc",
-    ("gaussian", "rk4"): "d00312132393bcafe0f866156c61222022935d8202f075176f06a5b0f3dcb621",
-    ("gaussian", "expm"): "7d1a9a4de5c440e51ba79699b7db319ed30f79b4a906959a04db3cb9f0548953",
-    ("rectangle", "rk4"): "923f7963e92e45848eddc25103a0a1ec4d8939694269914ef6c26b6f3c4a93ba",
-    ("rectangle", "expm"): "261edcdec958d13c9c0fd3a170b424ec462926bab68fb82b0e8638743671e5c5",
-    ("constant", "rk4"): "0bc2e4ecd3cdbdd6e890ade49baaf1959cf3e5901d200ebc22cddfff3aa57078",
-    ("constant", "expm"): "545c976030aab856eb7f9cd7cc1d8886340c0b9e8ebb1fdf5d3f906b56fae157",
+    "sech": "8815f26dffa468e69cd7f8a405ac5382e1b190bd493325c56d62d1c793d59abc",
+    "gaussian": "7d1a9a4de5c440e51ba79699b7db319ed30f79b4a906959a04db3cb9f0548953",
+    "rectangle": "261edcdec958d13c9c0fd3a170b424ec462926bab68fb82b0e8638743671e5c5",
+    "constant": "545c976030aab856eb7f9cd7cc1d8886340c0b9e8ebb1fdf5d3f906b56fae157",
 }
 
 
-@pytest.mark.parametrize("shape, method", list(DYNAMICS_SHA256))
-def test_dynamics_hashes(tmp_path, shape, method):
+@pytest.mark.parametrize("shape", list(DYNAMICS_SHA256))
+def test_dynamics_hashes(tmp_path, shape):
     out = tmp_path / "d.csv"
-    argv = ["dynamics", "--pulse-shape", shape, "--method", method, "--samples", "400"]
+    argv = ["dynamics", "--pulse-shape", shape, "--samples", "400"]
     assert run(*argv, "--out", str(out)) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == DYNAMICS_SHA256[shape, method]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DYNAMICS_SHA256[shape]
 
 
-# SHA-256 of `dynamics --method M --samples 161 --t-end 5.9684e-05` at default flags:
+# SHA-256 of `dynamics --samples 161 --t-end 5.9684e-05` at default flags:
 # 5119 steps at stride 32, so 319 folded steps of 16, the widest fold, then a 15-step tail.
-WIDEST_FOLD_SHA256 = {
-    "rk4": "05d1e21ace6c3c7d5b2ccc9f9508c6b23ad765e2b73ff4c2294d2cabfbcefb71",
-    "expm": "10bdfd74879d9e034e626d9ffef675943a4009337b239a9bc6a42c0ffe39266c",
-}
+WIDEST_FOLD_SHA256 = "10bdfd74879d9e034e626d9ffef675943a4009337b239a9bc6a42c0ffe39266c"
 
 
-@pytest.mark.parametrize("method", list(WIDEST_FOLD_SHA256))
-def test_widest_fold_hashes(tmp_path, method):
+def test_widest_fold_hash(tmp_path):
     out = tmp_path / "d.csv"
-    argv = ["dynamics", "--method", method, "--samples", "161", "--t-end", "5.9684e-05"]
+    argv = ["dynamics", "--samples", "161", "--t-end", "5.9684e-05"]
     assert run(*argv, "--out", str(out)) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDEST_FOLD_SHA256[method]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDEST_FOLD_SHA256
 
 
 NO_SIMD = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
@@ -783,16 +782,15 @@ def test_dynamics_bytes_do_not_depend_on_machine(tmp_path):
     assert run(*gauss, "--out", str(tmp_path / "gauss.csv")) == 0
     assert _run_cli_with(NO_SIMD, *gauss, "--out", str(tmp_path / "gauss_no_simd.csv")) == 0
     assert (tmp_path / "gauss_no_simd.csv").read_bytes() == (tmp_path / "gauss.csv").read_bytes()
-    # and through the exponential step, which takes one forcing column per sample
-    gauss_expm = ["dynamics", "--pulse-shape", "gaussian", "--method", "expm", "--samples", "400"]
-    assert _run_cli_with(NO_SIMD, *gauss_expm, "--out", str(tmp_path / "ge_no_simd.csv")) == 0
+    # and at 400 samples, against its pinned hash
+    gauss_400 = ["dynamics", "--pulse-shape", "gaussian", "--samples", "400"]
+    assert _run_cli_with(NO_SIMD, *gauss_400, "--out", str(tmp_path / "ge_no_simd.csv")) == 0
     got = hashlib.sha256((tmp_path / "ge_no_simd.csv").read_bytes()).hexdigest()
-    assert got == DYNAMICS_SHA256["gaussian", "expm"]
+    assert got == DYNAMICS_SHA256["gaussian"]
 
-    expm = ["dynamics", "--method", "expm"]
-    assert run(*expm, "--out", str(tmp_path / "here.csv")) == 0
+    assert run("dynamics", "--out", str(tmp_path / "here.csv")) == 0
     prescott = {"OPENBLAS_CORETYPE": "Prescott"}
-    assert _run_cli_with(prescott, *expm, "--out", str(tmp_path / "prescott.csv")) == 0
+    assert _run_cli_with(prescott, "dynamics", "--out", str(tmp_path / "prescott.csv")) == 0
     assert (tmp_path / "prescott.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
 
 
@@ -835,6 +833,7 @@ def _replay_flags(run_cfg):
             "--pulse-width-s", repr(pulse["width_s"]),
             "--pulse-center-s", repr(pulse["center_s"]),
             "--t-start", repr(t0), "--t-end", repr(t1), "--dt", repr(run_cfg["dt_s"]),
+            "--samples", str(run_cfg["samples"]),
             "--delta-over-omega-m", repr(run_cfg["delta_over_omega_m"])]
 
 

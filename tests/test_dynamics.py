@@ -363,7 +363,7 @@ def test_step_size_rejection(matrix_5uw):
     pulse = ce.PulseSpec("constant", 1.0, 1.0)
     bad_dt = 1.0 / M.spectral_radius
     with pytest.raises(ce.StepSizeError) as err:
-        ce.integrate(M, pulse, (0.0, 1e-4), bad_dt)
+        ce.integrate(M, pulse, (0.0, 1e-4), bad_dt, method=METHOD_RK4)
     assert f"{0.1 / M.spectral_radius:.6e}" in str(err.value)
     # the exponential path propagates exactly and takes any step
     traj = ce.integrate(M, pulse, (0.0, 1e-4), bad_dt, method=METHOD_EXPM, samples=8)
@@ -1106,7 +1106,7 @@ def test_library_path_calls_no_linalg(ref, tmp_path, monkeypatch, capsys):
             build(power)
         return str(err.value)
 
-    runs = (["figure", "fig9", "--out-dir"], ["dynamics", "--method", "expm", "--out"],
+    runs = (["figure", "fig9", "--out-dir"], ["dynamics", "--out"],
             ["dynamics", "--power-uw", "2000", "--out"])
 
     def commands(root):
