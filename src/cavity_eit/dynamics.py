@@ -35,20 +35,19 @@ are fixed-order float64 polynomials in the real form of M, free of BLAS
 and LAPACK; so are M's two eigenvalues, the closed-form roots of
 x^2 - (A + D) x + (AD - BC), the larger in magnitude first.  Sharing
 rules, fold and engine, the methods are no oracles for each other; the
-per-step loops in the tests are.  Each W_j is one real column, the
-response to a real unit drive: a real envelope enters through it alone,
-and a complex drive's imaginary part as i times its response, since every
-P and W commutes with i.  The forcing is sampled at every step's
-times all the same, in one call per _BLOCK steps or fewer: a PulseSpec's
-envelope takes an array of times (a plain callable is still called once
-per time).  A block's calls fill one sample matrix, which one product
-with the W columns weighs, and a product of two small matrices forms all
-its terms in one multiply, then adds them in the same order: numpy's
-call overhead, not arithmetic, is what these small products cost.  The
-envelope's exponential is _exp, a range reduction and a Taylor
-polynomial in exactly rounded float64 array ops: numpy's SIMD exp and
-cosh, and libm's, differ in the last bit from machine to machine, and a
-call to libm per sample is slow.
+per-step loops in the tests are.  The drive is real, and each W_j is one
+real column, the response to a real unit drive; a complex drive f
+integrates by linearity as V[Re f] + i V[Im f].  The forcing is sampled
+at every step's times all the same, in one call per _BLOCK steps or
+fewer: a PulseSpec's envelope takes an array of times (a plain callable
+is still called once per time).  A block's calls fill one float64
+sample matrix, which one product with the W columns weighs, and a
+product of two small matrices forms all its terms in one multiply, then
+adds them in the same order: numpy's call overhead, not arithmetic, is
+what these small products cost.  The envelope's exponential is _exp, a
+range reduction and a Taylor polynomial in exactly rounded float64 array
+ops: numpy's SIMD exp and cosh, and libm's, differ in the last bit from
+machine to machine, and a call to libm per sample is slow.
 
 The membrane displacement is reconstructed as
 
@@ -63,7 +62,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -96,8 +95,7 @@ _BLOCK = 4096
 # the scan as much as a single one, and its forcing term has c*q + 1 columns.
 _FOLD = 16
 
-# E_c: the real-form column of Re c, the probe-driven component, through which
-# both step rules take a real unit drive (_scan takes Im f as i times that).
+# E_c: the real-form column of Re c, through which both step rules take the real drive.
 _FORCED = slice(2, 3)
 
 # Taylor coefficients 1/k!, k < 19, of the exponential step: at spectral radius
@@ -226,7 +224,7 @@ def _exp(a) -> np.ndarray:
     return np.ldexp(p, k.astype(np.intc))
 
 
-Forcing = Union[PulseSpec, Callable[[float], complex]]
+Forcing = Union[PulseSpec, Callable[[float], float]]
 
 
 @dataclass(frozen=True)
@@ -299,13 +297,25 @@ def build_matrix(
     )
 
 
-def _sampler(forcing: Forcing) -> Callable[[np.ndarray], Sequence[complex]]:
-    """The forcing at an array of times: a pulse's array envelope, or a callable once per time."""
+def _sampler(forcing: Forcing) -> Callable[[np.ndarray], np.ndarray]:
+    """The forcing at an array of times as float64; a callable's values must be real numbers."""
     if isinstance(forcing, PulseSpec):
         return forcing.envelope
-    if callable(forcing):
-        return lambda ts: [forcing(t) for t in ts.tolist()]
-    raise ParameterError(f"forcing must be a PulseSpec or a callable, got {forcing!r}")
+    if not callable(forcing):
+        raise ParameterError(f"forcing must be a PulseSpec or a callable, got {forcing!r}")
+
+    def sample(ts: np.ndarray) -> np.ndarray:
+        values = [forcing(t) for t in ts.tolist()]
+        try:
+            fs = np.array(values)
+        except ValueError:  # ragged: some values are sequences
+            fs = None
+        if fs is None or fs.dtype.kind not in "biuf" or fs.shape != ts.shape:
+            raise ParameterError("a callable forcing must return one real number per time; "
+                                 "integrate a complex drive f as V[Re f] + 1j * V[Im f]")
+        return fs.astype(float)
+
+    return sample
 
 
 def _dot(row, xs):
@@ -409,16 +419,15 @@ def _fold(p: np.ndarray, w: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]
 def _scan(p, w, at, k0, n, every, v, f, per_call):
     """n steps of V' = P V + sum_j W_j f_(k0 + q*i + j), j = 0..q, from V = v and f_k0 = f.
 
-    at(a, b) samples the forcing f_k at the sample indices a <= k < b,
-    called on at most per_call steps at a time, in order; with f = None the
-    first call samples f_k0 as well.  Steps are solved in blocks of _BLOCK.
-    A block's calls fill one sample matrix, column i holding samples 0..q
-    of step i (row 0 is the carried sample, then row q of the column
-    before), which one _apply of W weighs; the carried state is added as
-    P V to the first step, then a doubling prefix scan with P, P^2, P^4,
-    ... gives every state.  Returns the states after steps every, 2*every,
-    ... (one array of columns per block), the state after step n and
-    f_(k0 + q*n).
+    at(a, b) samples the real forcing f_k at the sample indices a <= k < b
+    as a float64 array, called on at most per_call steps at a time, in
+    order.  Steps are solved in blocks of _BLOCK.  A block's calls fill one
+    float64 sample matrix, column i holding samples 0..q of step i (row 0
+    is the carried sample, then row q of the column before), which one
+    _apply of W weighs; the carried state is added as P V to the first
+    step, then a doubling prefix scan with P, P^2, P^4, ... gives every
+    state.  Returns the states after steps every, 2*every, ... (one array
+    of columns per block), the state after step n and f_(k0 + q*n).
     """
     q = w.shape[1] - 1
     pows = [p]
@@ -428,25 +437,13 @@ def _scan(p, w, at, k0, n, every, v, f, per_call):
     kept = []
     for lo in range(0, n, _BLOCK):
         m = min(_BLOCK, n - lo)
-        # float until f or a sample is complex: a callable may turn complex at any call,
-        # and from then on every sample is; columns from turn on hold complex samples
-        turn = 0 if np.iscomplexobj(f) else m
-        xs = np.empty((q + 1, m), dtype=complex if turn == 0 else float)
+        xs = np.empty((q + 1, m))
         for a in range(0, m, per_call):
             b = min(a + per_call, m)
-            fs = np.asarray(at(k0 + q * (lo + a) + (f is not None), k0 + q * (lo + b) + 1))
-            if f is None:  # the first call samples f_k0 too
-                f, fs = fs[0], fs[1:]
-            if np.iscomplexobj(fs) and turn == m:
-                xs, turn = xs.astype(complex), a
-            xs[1:, a:b] = fs.reshape(-1, q).T
+            xs[1:, a:b] = at(k0 + q * (lo + a) + 1, k0 + q * (lo + b) + 1).reshape(-1, q).T
         xs[0, 0], xs[0, 1:], f = f, xs[q, :-1], xs[q, -1]
-        y = _apply(w, xs.real)
-        if turn < m:  # add i times the response to Im f, in real form
-            yi = _apply(w, xs.imag[:, turn:])
-            y[0::2, turn:] -= yi[1::2]
-            y[1::2, turn:] += yi[0::2]
-        del xs, fs  # freed before the scan
+        y = _apply(w, xs)
+        del xs  # freed before the scan
         y[:, :1] += _mul(p, v)
         # after the carry and the scan, y[:, i] is the state after step lo + i + 1
         for k, pk in enumerate(pows[: (m - 1).bit_length()]):
@@ -459,7 +456,7 @@ def _scan(p, w, at, k0, n, every, v, f, per_call):
 def _advance(
     p: np.ndarray,
     w: np.ndarray,
-    sample: Callable[[np.ndarray], Sequence[complex]],
+    sample: Callable[[np.ndarray], np.ndarray],
     t0: float,
     h: float,
     n_steps: int,
@@ -469,24 +466,25 @@ def _advance(
     keeping the states after every stride-th step and after the last.
 
     P and the columns W_j come in real form, P acting on (Re, Im) pairs and
-    W_j the response to a real unit drive, so the solve is float64
-    multiplies and adds in a fixed order and its bytes do not depend on
-    whether the machine fuses the parts of a complex product.  Only the kept states are needed, so c steps, c the largest
-    divisor of stride up to _FOLD, are folded into one (_fold) and _scan
-    solves n_steps // c such steps; the last n_steps % c steps, which
-    hold no multiple of stride, take the rule itself.  Every step's
-    forcing still enters, sampled once at each time t0 + k h/q, in calls
-    of at most _BLOCK steps, so memory stays O(block) for any step count.
+    W_j the response to a real unit drive, whose float64 samples are f(t0)
+    here, then calls of at most _BLOCK steps, so the solve is float64
+    multiplies and adds in a fixed order, its memory O(block) for any step
+    count, and its bytes do not depend on whether the machine fuses the
+    parts of a complex product.  Only the kept states are needed, so c
+    steps, c the largest divisor of stride up to _FOLD, are folded into one
+    (_fold) and _scan solves n_steps // c such steps; the last n_steps % c
+    steps, which hold no multiple of stride, take the rule itself.  Every
+    step's forcing still enters, sampled once at each t0 + k h/q, in order.
     """
     q = w.shape[1] - 1
     c = max(d for d in range(1, _FOLD + 1) if stride % d == 0)
     n = n_steps // c
 
-    def at(a: int, b: int) -> Sequence[complex]:
+    def at(a: int, b: int) -> np.ndarray:
         return sample(t0 + np.arange(a, b) / q * h)
 
     v = np.zeros((len(p), 1))
-    kept, v, f = _scan(*_fold(p, w, c), at, 0, n, stride // c, v, None, _BLOCK // c)
+    kept, v, f = _scan(*_fold(p, w, c), at, 0, n, stride // c, v, at(0, 1)[0], _BLOCK // c)
     _, v, _ = _scan(p, w, at, q * c * n, n_steps % c, stride, v, f, _BLOCK)
     steps = np.arange(stride, n_steps + 1, stride)
     if n_steps % stride:
@@ -514,9 +512,9 @@ def integrate(
     constant forcing.  ``method="rk4"`` is classical fixed-step
     Runge-Kutta, kept as a reference; it requires dt * spectral_radius(M)
     <= 0.1 and rejects larger steps with the maximal admissible dt in the
-    message.  Both solve the steps in blocks rather than one at a time.  A
-    pulse must be quiet at t_start (QUIET_START_WIDTHS widths early); a
-    callable is not checked.
+    message.  Both solve the steps in blocks rather than one at a time.  The
+    drive is real; a pulse must be quiet at t_start (QUIET_START_WIDTHS
+    widths early), a callable's start is not checked.
 
     The output is decimated to at most ``samples`` points regardless of
     the integration step: the state after every stride-th step, stride =
@@ -526,8 +524,9 @@ def integrate(
 
     ParameterError refuses a step count that overflows float64, a sample
     spacing h/q at or below the float64 spacing at the span's largest |t| (the
-    sample times would not be distinct), and a final state that is not
-    finite, which any non-finite forcing sample reaches.
+    sample times would not be distinct), a callable's value that is not one
+    real number (integrate a complex f as V[Re f] + 1j * V[Im f]), and a
+    final state that is not finite, which any non-finite forcing sample reaches.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):

@@ -1,4 +1,3 @@
-import cmath
 import dataclasses
 import math
 import tracemalloc
@@ -538,13 +537,37 @@ def test_integrate_validation(matrix_5uw):
 
 
 @pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_forcing_refused(matrix_5uw, method, bad):
     # one non-finite sample, mid-run, reaches the final state and is refused
     _, _, M = matrix_5uw
     with pytest.raises(ce.ParameterError, match="final state is not finite"):
         ce.integrate(M, lambda t: bad if 3e-6 <= t < 3.01e-6 else 0.0, (0.0, 1e-5), 1e-9,
                      method=method, samples=16)
+
+
+NOT_ONE_REAL_NUMBER = {
+    "none": None,
+    "str": "1",
+    "pair": np.array([0.0, 0.0]),
+    "one-element": np.array([1.0]),
+    "1j": 1j,
+    "complex-real": complex(1.0, 0.0),
+    "np-complex": np.complex128(1j),
+    "nanj": complex(0.0, math.nan),
+}
+
+
+@pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
+@pytest.mark.parametrize("bad", NOT_ONE_REAL_NUMBER.values(), ids=NOT_ONE_REAL_NUMBER.keys())
+def test_malformed_forcing_refused(matrix_5uw, method, bad):
+    # a value that is not one real number is refused whether it is the first sample
+    # or one mid-run among floats; the drive is real and a complex one is refused even
+    # with a zero imaginary part
+    _, _, M = matrix_5uw
+    for forcing in (lambda t: bad, lambda t: bad if 3e-6 <= t < 3.01e-6 else 0.0):
+        with pytest.raises(ce.ParameterError, match="one real number per time"):
+            ce.integrate(M, forcing, (0.0, 1e-5), 1e-9, method=method, samples=16)
 
 
 # --- the blocked solve against the step-by-step integrators -------------------
@@ -699,7 +722,7 @@ def callable_forcing(method, matrix_5uw):
     params, _, M = matrix_5uw
     w = kick_width(params)
     pulse = ce.PulseSpec("sech", 1.0, w, 25 * w)
-    chirped = lambda t: pulse.envelope(t) * cmath.exp(0.3j * t / w)  # noqa: E731
+    chirped = lambda t: pulse.envelope(t) * math.cos(0.3 * t / w)  # noqa: E731
     assert_matches_loop(method, M, chirped, (0.0, 60 * w), w / 50, 300)
 
 
@@ -829,7 +852,8 @@ def test_forcing_sampled_once_at_every_time(matrix_5uw, method, stride):
     ce.integrate(M, logged, (t0, t1), dt, method=method, samples=samples)
     q = 2 if method == METHOD_RK4 else 1
     h = (t1 - t0) / n_steps
-    assert sorted(times) == [t0 + k / q * h for k in range(q * n_steps + 1)]
+    # each once, and called in increasing time order
+    assert times == [t0 + k / q * h for k in range(q * n_steps + 1)]
 
 
 def bits(x):
@@ -881,22 +905,8 @@ def test_fold_equals_step_by_step_reference(matrix_5uw, method, c):
             assert np.array_equal(bits(got), bits(want))
 
 
-def test_float_call_of_a_block_turning_complex_keeps_its_zeros():
-    # P = I and W < 0 weigh zero samples to -0, which i times a zero imaginary part
-    # would make +0: the columns of the first call, all floats, take the real
-    # product alone, as if the second call, all complex, had not come
-    def first_call(turning):
-        at = lambda a, b: [0j if turning and k > 3 else 0.0 for k in range(a, b)]  # noqa: E731
-        kept, _, _ = dynamics._scan(np.eye(2), -np.ones((2, 2)), at, 0, 6, 1,
-                                    np.full((2, 1), -0.0), 0.0, 3)
-        return kept[0][:, :3]
-
-    assert np.signbit(first_call(turning=True)).all()
-    assert np.array_equal(bits(first_call(turning=True)), bits(first_call(turning=False)))
-
-
-# A real drive enters through one real column per sample; the imaginary part of
-# a complex one enters as i times the response to it.
+# A real drive enters through one real column per sample; a complex one f
+# integrates by linearity as V[Re f] + i V[Im f].
 def block_edge_run(M):
     """(span, dt, samples): B + 1 steps, every state kept, so one sampling call ends at step B."""
     dt = 0.05 / M.spectral_radius
@@ -913,33 +923,18 @@ def folded_run(M):
 @pytest.mark.parametrize("run", [block_edge_run, folded_run], ids=["block-edge", "folded"])
 @pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
 def test_complex_drive_is_linear_in_its_parts(matrix_5uw, method, run):
+    # the recipe V[Re f] + i V[Im f] against the step loop driven by the complex f itself
     _, _, M = matrix_5uw
     span, dt, samples = run(M)
     g = scalar_forcing(ce.PulseSpec("sech", 1.0, span[1] / 8, span[1] / 2))
     h = scalar_forcing(ce.PulseSpec("gaussian", 0.6, span[1] / 10, span[1] / 3))
-    both = ce.integrate(M, lambda t: g(t) + 1j * h(t), span, dt, method=method, samples=samples)
     re = ce.integrate(M, g, span, dt, method=method, samples=samples)
     im = ce.integrate(M, h, span, dt, method=method, samples=samples)
+    want = LOOPS[method](M, lambda t: g(t) + 1j * h(t), span, dt, samples)
+    assert np.array_equal(re.times, want.times)
     for key in ("q_plus", "c_plus"):
-        a, b = getattr(both, key), getattr(re, key) + 1j * getattr(im, key)
-        assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max()
-
-
-@pytest.mark.parametrize("at_call_edge", [False, True], ids=["mid-call", "call-edge"])
-@pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
-def test_drive_turning_complex_matches_loop(matrix_5uw, method, at_call_edge):
-    # floats before the pulse centre, complex numbers from it on; at the call edge
-    # the first call is all floats and the next starts with complex ones
-    _, _, M = matrix_5uw
-    span, dt, samples = block_edge_run(M)
-    q = 2 if method == METHOD_RK4 else 1
-    centre = (B + 0.5 / q if at_call_edge else B / 3) * dt
-    pulse = scalar_forcing(ce.PulseSpec("sech", 1.0, span[1] / 8, centre))
-
-    def turning(t):
-        return pulse(t) if t < centre else pulse(t) * cmath.exp(0.3j * (t - centre) / dt)
-
-    assert_matches_loop(method, M, turning, span, dt, samples)
+        a, b = getattr(re, key) + 1j * getattr(im, key), getattr(want, key)
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 @pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
@@ -951,19 +946,6 @@ def test_integer_drive_matches_loop(matrix_5uw, method):
     assert_matches_loop(method, M, lambda t: 3 if lo < t < hi else 0, span, dt, samples)
 
 
-@pytest.mark.parametrize("run", [block_edge_run, folded_run], ids=["block-edge", "folded"])
-@pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
-def test_complex_valued_real_drive_equals_pulse(matrix_5uw, method, run):
-    _, _, M = matrix_5uw
-    span, dt, samples = run(M)
-    pulse = ce.PulseSpec("sech", 1.0, span[1] / 60, span[1] / 2)
-    want = ce.integrate(M, pulse, span, dt, method=method, samples=samples)
-    got = ce.integrate(M, lambda t: complex(pulse.envelope(t)), span, dt, method=method,
-                       samples=samples)
-    for key in ("times", "q_plus", "c_plus"):
-        assert np.array_equal(getattr(got, key), getattr(want, key))
-
-
 def folded_call_edge_run(M):
     """(span, dt, samples): eight steps folded into one and a 7-step tail, 4799 steps in all,
     so the one folded block takes two sampling calls, the first ending at step B."""
@@ -973,27 +955,21 @@ def folded_call_edge_run(M):
     return (0.0, n_steps * dt), dt, samples
 
 
+@pytest.mark.parametrize(
+    "run", [block_edge_run, folded_run, folded_call_edge_run],
+    ids=["block-edge", "folded", "folded-call-edge"],
+)
 @pytest.mark.parametrize("method", [METHOD_RK4, METHOD_EXPM])
-def test_drive_turning_complex_at_a_folded_call_edge(matrix_5uw, method):
-    # floats in the first call of the block's sample matrix, complex numbers from
-    # the second on, where the matrix turns complex
+def test_callable_drive_equals_pulse(matrix_5uw, method, run):
+    # a pulse's envelope called once per time gives the pulse's bits, signs of zeros
+    # too: the rectangle's drive is exact zeros on both sides of each block and call edge
     _, _, M = matrix_5uw
-    span, dt, samples = folded_call_edge_run(M)
-    q = 2 if method == METHOD_RK4 else 1
-    edge = (B + 0.5 / q) * dt
-    pulse = scalar_forcing(ce.PulseSpec("sech", 1.0, span[1] / 8, edge))
-
-    def turning(t):
-        return pulse(t) if t < edge else pulse(t) * cmath.exp(0.3j * (t - edge) / dt)
-
-    assert_matches_loop(method, M, turning, span, dt, samples)
-    # with zero imaginary parts, the real drive's bits, signs of zeros too: the
-    # rectangle's drive is exact zeros on both sides of the edge
-    for shape, width, centre in (("sech", 80, 2400), ("rectangle", 400, 4600)):
-        real = ce.PulseSpec(shape, 1.0, width * dt, centre * dt).envelope
-        want = ce.integrate(M, real, span, dt, method=method, samples=samples)
-        got = ce.integrate(M, lambda t: real(t) if t < edge else complex(real(t)), span, dt,
-                           method=method, samples=samples)
+    span, dt, samples = run(M)
+    t = span[1]
+    for pulse in (ce.PulseSpec("sech", 1.0, t / 60, t / 2),
+                  ce.PulseSpec("rectangle", 1.0, t / 30, 0.9 * t)):
+        want = ce.integrate(M, pulse, span, dt, method=method, samples=samples)
+        got = ce.integrate(M, pulse.envelope, span, dt, method=method, samples=samples)
         for key in ("times", "q_plus", "c_plus"):
             assert np.array_equal(bits(getattr(got, key)), bits(getattr(want, key)))
 
