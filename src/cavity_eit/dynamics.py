@@ -318,21 +318,17 @@ def _sampler(forcing: Forcing) -> Callable[[np.ndarray], np.ndarray]:
     return sample
 
 
-def _dot(row, xs):
-    """row[0]*xs[0] + row[1]*xs[1] + ..., elementwise and added left to right."""
-    acc = row[0] * xs[0]
-    for coef, x in zip(row[1:], xs[1:]):
-        acc += coef * x
-    return acc
-
-
-def _apply(a: np.ndarray, x) -> np.ndarray:
+def _apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """a @ x as a fixed-order sum of float64 products, without BLAS and its machine-chosen order.
 
     For a wide x, the forcing and the scan: one multiply and one add per column of a,
     each the size of the result, where _mul's terms would be a.shape[1] times larger.
     """
-    return _dot(a.T[:, :, None], x)
+    cols = a.T[:, :, None]
+    acc = cols[0] * x[0]
+    for col, row in zip(cols[1:], x[1:]):
+        acc += col * row
+    return acc
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -348,12 +344,18 @@ def _real_form(m: np.ndarray) -> np.ndarray:
     return parts.reshape(2 * m.shape[0], 2 * m.shape[1])
 
 
-def _powers(x: np.ndarray, n: int) -> list[np.ndarray]:
-    """[1, x, x^2, ..., x^(n-1)], each power by _mul."""
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """1, x, x^2, ..., x^(n-1), each power by _mul, stacked along a first axis."""
     xs = [np.eye(len(x)), x]
     while len(xs) < n:
         xs.append(_mul(xs[-1], x))
-    return xs
+    return np.stack(xs)
+
+
+def _series(coefs, xs: np.ndarray) -> np.ndarray:
+    """coefs[0]*xs[0] + coefs[1]*xs[1] + ... of the stacked xs, added left to right, as one _mul."""
+    k = len(coefs)
+    return _mul(np.array([coefs]), xs[:k].reshape(k, -1)).reshape(xs.shape[1:])
 
 
 def _rk4_rule(matrix: SystemMatrix, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -363,8 +365,9 @@ def _rk4_rule(matrix: SystemMatrix, h: float) -> tuple[np.ndarray, np.ndarray]:
     and W_j = h/6 * (1 + Z + Z^2/2 + Z^3/4, 4 + 2Z + Z^2/2, 1) E_c.
     """
     zk = _powers(-h * _real_form(matrix.as_array()), 5)
-    p = _dot((1.0, 1.0, 1 / 2, 1 / 6, 1 / 24), zk)
-    w = [h / 6 * _dot(c, zk)[:, _FORCED] for c in ((1.0, 1.0, 1 / 2, 1 / 4), (4.0, 2.0, 1 / 2), (1.0,))]
+    p = _series((1.0, 1.0, 1 / 2, 1 / 6, 1 / 24), zk)
+    # each row its own product: a zero coefficient padding a shorter row could flip a -0
+    w = [h / 6 * _series(c, zk)[:, _FORCED] for c in ((1.0, 1.0, 1 / 2, 1 / 4), (4.0, 2.0, 1 / 2), (1.0,))]
     return p, np.concatenate(w, axis=1)
 
 
@@ -387,11 +390,11 @@ def _expm_rule(matrix: SystemMatrix, h: float) -> tuple[np.ndarray, np.ndarray]:
     s = max(0, math.frexp(h * matrix.spectral_radius)[1])
     xs = _powers(a / 2**s, len(_EXP_TAYLOR))
     if s == 0:
-        e = _dot(_EXP_TAYLOR, xs)
+        e = _series(_EXP_TAYLOR, xs)
     else:
         # X = e^(A/2^s) - I squares as (I + X)^2 - I = 2X + X^2: the slow mode's
         # small entries are never rounded against the 1 of I, whose error doubles
-        x = _dot(_EXP_TAYLOR[1:], xs[1:])
+        x = _series(_EXP_TAYLOR[1:], xs[1:])
         for _ in range(s):
             x = 2.0 * x + _mul(x, x)
         e = x + np.eye(n + 2)
@@ -409,7 +412,7 @@ def _fold(p: np.ndarray, w: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]
     """
     n, q = len(p), w.shape[1] - 1
     pk = _powers(p, c + 1)
-    terms = _mul(np.concatenate(pk[c - 1 :: -1]), w).reshape(c, n, q + 1)
+    terms = _mul(pk[c - 1 :: -1].reshape(c * n, n), w).reshape(c, n, q + 1)
     k = np.zeros((n, c * q + 1))
     k[:, :-1] += terms[:, :, :q].transpose(1, 0, 2).reshape(n, c * q)
     k[:, q::q] += terms[:, :, q].T

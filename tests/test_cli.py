@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,10 +23,12 @@ from cavity_eit.cli import (
     FIGURE_RUNS,
     SPECTRUM_HEADER,
     SWEEP_HEADER,
+    _BLOCK_ROWS,
     _E_MAX,
     _E_MIN,
     _build_parser,
     _csv,
+    _emit,
     _format_tables,
     _phase_unwrap,
     emit_figure_bundle,
@@ -79,12 +82,14 @@ def test_spectrum_csv(tmp_path):
 
 
 def test_spectrum_deterministic_bytes(tmp_path, capfdbinary):
+    # 1500 rows are three blocks: stdout takes the chunks a file takes, the same bytes
+    assert 2 * _BLOCK_ROWS < 1500 <= 3 * _BLOCK_ROWS
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run("spectrum", "--grid-n", "301", "--out", str(a)) == 0
-    assert run("spectrum", "--grid-n", "301", "--out", str(b)) == 0
+    assert run("spectrum", "--grid-n", "1500", "--out", str(a)) == 0
+    assert run("spectrum", "--grid-n", "1500", "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
     capfdbinary.readouterr()
-    assert run("spectrum", "--grid-n", "301", "--out", "-") == 0
+    assert run("spectrum", "--grid-n", "1500", "--out", "-") == 0
     assert capfdbinary.readouterr().out == a.read_bytes()
 
 
@@ -114,9 +119,14 @@ def random_doubles(n, seed=20121024):
     return np.random.default_rng(seed).integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
 
 
+def csv_bytes(header: str, *columns) -> bytes:
+    """All of _csv's chunks, joined."""
+    return b"".join(_csv(header, *columns))
+
+
 def assert_csv_matches_oracle(values, n_columns):
     table = np.asarray(values, dtype=float).reshape(-1, n_columns)
-    assert _csv("h", *table.T) == oracle_csv("h", *table.T).encode()
+    assert csv_bytes("h", *table.T) == oracle_csv("h", *table.T).encode()
 
 
 def test_csv_matches_template_oracle():
@@ -140,7 +150,7 @@ def test_csv_matches_template_oracle():
         ties.append((rng.integers(lo // 2, hi // 2, size=4000) * 2 + 1) / 2.0 ** (17 - e10))
     ties = np.concatenate(ties)
     assert_csv_matches_oracle([ties, -ties], 2)
-    assert _csv("h", [1000000000000000.25]) == b"h\n1.0000000000000002e+15\n"
+    assert csv_bytes("h", [1000000000000000.25]) == b"h\n1.0000000000000002e+15\n"
 
     # near ties: v = m / 2^j with m * 10^k / 2^j = (m * 5^k mod 2^D) / 2^D = 1/2 + delta / 2^D
     # (mod 1), D = j - k, k = 16 - E, so the rounding is decided 2^-D (down to 1e-16) from 1/2
@@ -161,16 +171,32 @@ def test_csv_matches_template_oracle():
     specials = [0.0, -0.0, np.inf, -np.inf, nan, -nan, 5e-324, -5e-324,
                 np.finfo(float).max, -np.finfo(float).max]
     assert_csv_matches_oracle(specials, 2)
-    assert _csv("h", [-nan], [nan]) == b"h\nNaN,NaN\n"
+    assert csv_bytes("h", [-nan], [nan]) == b"h\nNaN,NaN\n"
 
-    assert _csv("h", [], []) == oracle_csv("h", [], []).encode() == b"h\n"
+    assert csv_bytes("h", [], []) == oracle_csv("h", [], []).encode() == b"h\n"
 
 
 @settings(deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 9)),
               elements=st.floats(allow_nan=True, allow_infinity=True)))
 def test_csv_matches_template_oracle_property(table):
-    assert _csv("h", *table.T) == oracle_csv("h", *table.T).encode()
+    assert csv_bytes("h", *table.T) == oracle_csv("h", *table.T).encode()
+
+
+def test_csv_write_holds_one_block_beyond_the_table(tmp_path):
+    # a 100,000-row, 9-column table: the writer may hold the float table _csv
+    # stacks (7.2 MB) and one block's work, not the whole CSV text (23 MB)
+    table = random_doubles(9 * 10**5, seed=29).reshape(-1, 9)
+    out = tmp_path / "t.csv"
+    _format_tables()  # built once per process, not part of a write
+    tracemalloc.start()
+    try:
+        _emit(_csv("h", *table.T), out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes + 2 * 2**20
+    assert out.read_bytes() == oracle_csv("h", *table.T).encode()
 
 
 def test_decade_table_is_exact():
@@ -588,7 +614,7 @@ def oracle_phase_unwrap(spectrum_csv, out):
         spectrum_csv, delimiter=",", skiprows=1, usecols=(0, 1, 6), ndmin=2, unpack=True
     )
     header = "delta_rad_s,delta_over_omega_m,phase_t_unwrapped_rad"
-    out.write_bytes(_csv(header, delta, delta_over_omega_m, np.unwrap(phase)))
+    out.write_bytes(csv_bytes(header, delta, delta_over_omega_m, np.unwrap(phase)))
 
 
 def test_phase_unwrap_matches_csv_oracle(tmp_path):
@@ -608,7 +634,7 @@ def test_phase_unwrap_matches_csv_oracle_property(table):
     columns = (delta, ratio, *[np.zeros(len(table))] * 4, phase, *[np.zeros(len(table))] * 2)
     with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
         spectrum_csv, got, want = (Path(tmp) / name for name in ("s.csv", "got.csv", "want.csv"))
-        spectrum_csv.write_bytes(_csv(SPECTRUM_HEADER, *columns))
+        spectrum_csv.write_bytes(csv_bytes(SPECTRUM_HEADER, *columns))
         oracle_phase_unwrap(spectrum_csv, want)
         _phase_unwrap(columns, got)
         assert got.read_bytes() == want.read_bytes()
@@ -810,10 +836,10 @@ def test_csv_bytes_do_not_depend_on_machine(tmp_path):
     values = random_doubles(10**6).reshape(-1, 8)
     np.save(tmp_path / "values.npy", values)
     code = ("import sys, numpy as np; from cavity_eit.cli import _csv; "
-            "sys.stdout.buffer.write(_csv('h', *np.load(sys.argv[1]).T))")
+            "sys.stdout.buffer.write(b''.join(_csv('h', *np.load(sys.argv[1]).T)))")
     proc = _python_with(NO_SIMD, "-c", code, str(tmp_path / "values.npy"))
     assert proc.returncode == 0
-    assert proc.stdout == _csv("h", *values.T)
+    assert proc.stdout == csv_bytes("h", *values.T)
 
 
 def _replay_flags(run_cfg):
