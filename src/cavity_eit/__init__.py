@@ -21,11 +21,9 @@ from .params import (
 from .steady_state import SteadyState, solve_steady
 from .response import (
     AMPLITUDE_FLOOR,
-    DelayReport,
     PowerPoint,
     SpectrumTable,
     eit_width,
-    group_delay_analytic,
     power_sweep,
     spectrum,
     transmitted_amplitude,
@@ -33,7 +31,6 @@ from .response import (
 from .dynamics import (
     InstabilityError,
     PulseSpec,
-    StepSizeError,
     SystemMatrix,
     Trajectory,
     build_matrix,
@@ -47,7 +44,6 @@ __all__ = [
     "AMPLITUDE_FLOOR",
     "C_LIGHT",
     "HBAR",
-    "DelayReport",
     "DerivedConstants",
     "DriveParams",
     "InstabilityError",
@@ -55,7 +51,6 @@ __all__ = [
     "PowerPoint",
     "PulseSpec",
     "SpectrumTable",
-    "StepSizeError",
     "SteadyState",
     "SystemMatrix",
     "SystemParams",
@@ -63,7 +58,6 @@ __all__ = [
     "build_matrix",
     "derive",
     "eit_width",
-    "group_delay_analytic",
     "integrate",
     "load_params",
     "power_sweep",

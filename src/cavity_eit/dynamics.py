@@ -115,10 +115,6 @@ class InstabilityError(ArithmeticError):
     """The sideband system matrix has a non-decaying eigenmode."""
 
 
-class StepSizeError(ArithmeticError):
-    """Requested integration step violates the RK4 stability margin."""
-
-
 @dataclass(frozen=True)
 class SystemMatrix:
     """Relaxation matrix M of the sideband pair at a fixed probe detuning."""
@@ -514,8 +510,7 @@ def integrate(
     the step, so it has no stability bound and is exact (to roundoff) for
     constant forcing.  ``method="rk4"`` is classical fixed-step
     Runge-Kutta, kept as a reference; it requires dt * spectral_radius(M)
-    <= 0.1 and rejects larger steps with the maximal admissible dt in the
-    message.  Both solve the steps in blocks rather than one at a time.  The
+    <= 0.1.  Both solve the steps in blocks rather than one at a time.  The
     drive is real; a pulse must be quiet at t_start (QUIET_START_WIDTHS
     widths early), a callable's start is not checked.
 
@@ -525,7 +520,8 @@ def integrate(
     in between are never formed, but every step's forcing enters, sampled
     once at each of its times.
 
-    ParameterError refuses a step count that overflows float64, a sample
+    ParameterError refuses an RK4 step past that margin, naming the largest
+    admissible dt, a step count that overflows float64, a sample
     spacing h/q at or below the float64 spacing at the span's largest |t| (the
     sample times would not be distinct), a callable's value that is not one
     real number (integrate a complex f as V[Re f] + 1j * V[Im f]), and a
@@ -553,7 +549,7 @@ def integrate(
 
     rho = matrix.spectral_radius
     if method == METHOD_RK4 and dt * rho > MAX_STEP_RADIUS:
-        raise StepSizeError(
+        raise ParameterError(
             f"dt={dt:.6e} s violates the stability margin "
             f"dt*rho(M) <= {MAX_STEP_RADIUS}; use dt <= {MAX_STEP_RADIUS / rho:.6e} s"
         )

@@ -48,14 +48,6 @@ AMPLITUDE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
-class DelayReport:
-    """Group delay (tau > 0) or advance (tau < 0) of the two output ports."""
-
-    tau_t: float  # s, transmission; NaN when |eps_t| < AMPLITUDE_FLOOR
-    tau_r: float  # s, reflection; NaN when |eps_r| < AMPLITUDE_FLOOR
-
-
-@dataclass(frozen=True)
 class SpectrumTable:
     """Columnar probe response over a detuning grid."""
 
@@ -143,14 +135,6 @@ def transmitted_amplitude(
 ) -> complex | np.ndarray:
     """eps_T at scalar or array detunings; NaN at a degenerate denominator."""
     return _response(delta, params, steady.alpha)[0][()]  # [()]: a scalar for a scalar
-
-
-def group_delay_analytic(
-    delta: float, params: SystemParams, steady: SteadyState
-) -> DelayReport:
-    """Group delay of both ports from the exact derivative of the response."""
-    _, tau_t, tau_r = _response(delta, params, steady.alpha)
-    return DelayReport(tau_t=float(tau_t), tau_r=float(tau_r))
 
 
 def spectrum(

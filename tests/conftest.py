@@ -27,27 +27,37 @@ def steady_at(params, power):
     return ce.solve_steady(params, ce.derive(params, drive))
 
 
+def one_point_delays(delta, params, steady):
+    """(tau_t, tau_r) at one detuning: the analytic delays of a one-point ce.spectrum."""
+    table = ce.spectrum([delta], params, steady)
+    return float(table.tau_t[0]), float(table.tau_r[0])
+
+
 def group_delay_fd(delta, params, steady):
-    """Oracle for ce.group_delay_analytic: central differences of eps_T.
+    """(tau_t, tau_r) from central differences of eps_T.
 
-    The step is 1e-6 of the mirror frequency, with one Richardson halving
-    (O(step^4) error).  It shares only eps_T, through the public array
-    path, with the code it checks, and none of its derivative algebra.
-    Like the library, it reports NaN where |eps_X| < ce.AMPLITUDE_FLOOR.
+    The oracle of the analytic delays of response._response, which
+    ce.spectrum and ce.power_sweep report.
+
+    Central differences at 16 steps, from 1e-4 of the mirror frequency
+    down by halves, each one Richardson-combined with the next (O(step^4)
+    error).  Truncation error falls with the step and roundoff grows as its
+    inverse, so the estimate taken is the one that agrees best with its
+    neighbour.  No single step serves the whole domain: where eps_T has a
+    zero a few rad/s from omega_m, 1e-6 omega_m is 4e-3 of tau off, and
+    where |eps_R| is 6e-4, 1e-7 omega_m is 1e-6 off.  It shares only eps_T,
+    through the public array path, with the code it checks, and none of its
+    derivative algebra.  Like the library, it reports NaN where
+    |eps_X| < ce.AMPLITUDE_FLOOR.
     """
-    step = 1e-6 * params.mirror_freq
-
-    def eps_t(d):
-        return ce.transmitted_amplitude(np.atleast_1d(d), params, steady)[0]
-
-    coarse = (eps_t(delta + step) - eps_t(delta - step)) / (2.0 * step)
-    half = 0.5 * step
-    fine = (eps_t(delta + half) - eps_t(delta - half)) / (2.0 * half)
-    der = (4.0 * fine - coarse) / 3.0
-    et = eps_t(delta)
-    taus = [complex(der / eps).imag if abs(eps) >= ce.AMPLITUDE_FLOOR else math.nan
-            for eps in (et, et - 1.0)]
-    return ce.DelayReport(*taus)
+    steps = 1e-4 * params.mirror_freq * 0.5 ** np.arange(16)
+    eps = ce.transmitted_amplitude(np.concatenate(([delta], delta + steps, delta - steps)),
+                                   params, steady)
+    central = (eps[1:17] - eps[17:]) / (2.0 * steps)
+    richardson = (4.0 * central[1:] - central[:-1]) / 3.0
+    der = richardson[int(np.argmin(np.abs(np.diff(richardson)))) + 1]
+    return tuple(complex(der / e).imag if abs(e) >= ce.AMPLITUDE_FLOOR else math.nan
+                 for e in (eps[0], eps[0] - 1.0))
 
 
 @st.composite

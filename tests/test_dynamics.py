@@ -14,7 +14,7 @@ from cavity_eit.cli import FIGURE_RUNS, main
 from cavity_eit.dynamics import METHOD_EXPM, METHOD_RK4, PULSE_SHAPES
 from cavity_eit.params import C_LIGHT, HBAR
 
-from conftest import near_reference, steady_at
+from conftest import near_reference, one_point_delays, steady_at
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +94,7 @@ def test_transfer_function_delay_is_frequency_domain_delay(ref):
     arr = ce.build_matrix(om, params, der, st).as_array()
     v = np.linalg.solve(arr, [0.0, 1.0])
     tau = (np.linalg.solve(arr, v)[1] / v[1]).real
-    assert tau == pytest.approx(ce.group_delay_analytic(om, params, st).tau_t, rel=1e-6)
+    assert tau == pytest.approx(one_point_delays(om, params, st)[0], rel=1e-6)
 
 
 def top_pole(params, power):
@@ -361,7 +361,7 @@ def test_step_size_rejection(matrix_5uw):
     _, _, M = matrix_5uw
     pulse = ce.PulseSpec("constant", 1.0, 1.0)
     bad_dt = 1.0 / M.spectral_radius
-    with pytest.raises(ce.StepSizeError) as err:
+    with pytest.raises(ce.ParameterError) as err:
         ce.integrate(M, pulse, (0.0, 1e-4), bad_dt, method=METHOD_RK4)
     assert f"{0.1 / M.spectral_radius:.6e}" in str(err.value)
     # the exponential path propagates exactly and takes any step
@@ -1255,7 +1255,7 @@ def test_unlinearised_cw_sideband_is_the_response(ref, steady_5uw):
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_kick_matches_unlinearised_equations(ref, steady_5uw, tmp_path):
-    # fig9's run as it ships (RK4, 5,120 steps of width/64) against the linear limit
+    # fig9's run as it ships (expm, 5,120 steps of width/64) against the linear limit
     # 4 x(s/2) - x(s) of the unlinearised equations at the same step, s = the kick's
     # 5 % of eps_c.  Measured: that limit is off by 1.0e-4 of its peak (from a third
     # scale, s/4) and moves by 1.1e-9 when the step is halved; x(s) and 2 x(s/2)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import cavity_eit as ce
 
 
@@ -9,3 +11,11 @@ def test_public_names_resolve():
     namespace = {}
     exec("from cavity_eit import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(ce.__all__)
+
+
+def test_readme_quick_start_runs():
+    # the README's library example runs against the public API as it stands
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})

@@ -14,7 +14,7 @@ from cavity_eit import response
 from cavity_eit.cli import emit_figure_bundle
 from cavity_eit.params import C_LIGHT, HBAR
 
-from conftest import near_reference, steady_at
+from conftest import near_reference, one_point_delays, steady_at
 
 
 def empty(params):
@@ -168,8 +168,8 @@ def test_degenerate_denominator_is_one_rule(ref):
                    table.reflection, table.phase_t, table.tau_t, table.tau_r):
         assert np.isnan(column[0])
         assert np.isfinite(column[1])
-    report = ce.group_delay_analytic(0.0, params, crafted)
-    assert math.isnan(report.tau_t) and math.isnan(report.tau_r)
+    tau_t, tau_r = one_point_delays(0.0, params, crafted)
+    assert math.isnan(tau_t) and math.isnan(tau_r)
     scalar = ce.transmitted_amplitude(0.0, params, crafted)
     assert math.isnan(scalar.real) and math.isnan(scalar.imag)
     assert np.isnan(ce.transmitted_amplitude(np.array([0.0, om]), params, crafted)[0])
@@ -213,8 +213,8 @@ def test_degenerate_point_is_nan_on_every_path(point):
     assert cmath.isnan(amps[0]) and np.isfinite(amps[1])
     table = ce.spectrum([0.0, om], params, crafted)
     assert cmath.isnan(table.eps_t[0]) and math.isnan(table.tau_t[0])
-    report = ce.group_delay_analytic(0.0, params, crafted)
-    assert math.isnan(report.tau_t) and math.isnan(report.tau_r)
+    tau_t, tau_r = one_point_delays(0.0, params, crafted)
+    assert math.isnan(tau_t) and math.isnan(tau_r)
     with mock.patch.object(response, "solve_steady", return_value=crafted):
         (pt,) = ce.power_sweep([0.0], 0.0, params)
     assert math.isnan(pt.tau_t) and math.isnan(pt.tau_r)
@@ -417,8 +417,8 @@ def per_point_sweep(powers, delta, params):
     out = []
     for p in powers:
         steady = steady_at(params, p)
-        report = ce.group_delay_analytic(delta, params, steady)
-        out.append((p, report.tau_t, report.tau_r, ce.eit_width(params, steady)))
+        _, tau_t, tau_r = response._response(delta, params, steady.alpha)
+        out.append((p, float(tau_t), float(tau_r), ce.eit_width(params, steady)))
     return out
 
 
@@ -470,9 +470,9 @@ def test_detuning_domain_ends_at_optical_frequency(ref, steady_5uw):
             ce.power_sweep([0.0, 5e-6], delta, params)
         with pytest.raises(ce.ParameterError, match="probe detuning"):
             ce.build_matrix(delta, params, derived, steady_5uw)
-    # the scalar entry points refuse it too, before m*delta^4 can overflow
+    # a scalar amplitude and a one-point spectrum refuse it too, before m*delta^4 can overflow
     for delta in (omega_c, -omega_c, 1e300):
-        for entry in (ce.transmitted_amplitude, ce.group_delay_analytic):
+        for entry in (ce.transmitted_amplitude, one_point_delays):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ce.ParameterError, match="probe detuning"):
@@ -487,15 +487,15 @@ def test_detuning_domain_ends_at_optical_frequency(ref, steady_5uw):
     for delta in (-inside, inside):
         for point in ce.power_sweep([0.0, 5e-6], delta, params):
             assert math.isfinite(point.tau_r) and math.isfinite(point.gamma_width)
-    # the scalar entry points return the same as the spectrum there
+    # a scalar amplitude and a one-point spectrum return the same as the spectrum there
     for i, delta in enumerate((-inside, inside)):
         amp = ce.transmitted_amplitude(delta, params, steady_5uw)
         assert abs(amp - table.eps_t[i]) <= 1e-14 * abs(table.eps_t[i])
         assert amp.imag == pytest.approx(math.copysign(9.5116469e-11, delta), rel=1e-8)
-        report = ce.group_delay_analytic(delta, params, steady_5uw)
-        assert math.isnan(report.tau_t)
-        assert report.tau_r == pytest.approx(table.tau_r[i], rel=1e-12)
-        assert report.tau_r == pytest.approx(5.3727518e-26, rel=1e-8)
+        tau_t, tau_r = one_point_delays(delta, params, steady_5uw)
+        assert math.isnan(tau_t)
+        assert tau_r == pytest.approx(table.tau_r[i], rel=1e-12)
+        assert tau_r == pytest.approx(5.3727518e-26, rel=1e-8)
 
 
 # --- phase unwrapping -----------------------------------------------------------
