@@ -35,19 +35,18 @@ are fixed-order float64 polynomials in the real form of M, free of BLAS
 and LAPACK; so are M's two eigenvalues, the closed-form roots of
 x^2 - (A + D) x + (AD - BC), the larger in magnitude first.  Sharing
 rules, fold and engine, the methods are no oracles for each other; the
-per-step loops in the tests are.  The drive is real, and each W_j is one
-real column, the response to a real unit drive; a complex drive f
-integrates by linearity as V[Re f] + i V[Im f].  The forcing is sampled
-at every step's times all the same, in one call per _BLOCK steps or
-fewer: a PulseSpec's envelope takes an array of times (a plain callable
-is still called once per time).  A block's calls fill one float64
-sample matrix, which one product with the W columns weighs, and a
-product of two small matrices forms all its terms in one multiply, then
-adds them in the same order: numpy's call overhead, not arithmetic, is
-what these small products cost.  The envelope's exponential is _exp, a
-range reduction and a Taylor polynomial in exactly rounded float64 array
-ops: numpy's SIMD exp and cosh, and libm's, differ in the last bit from
-machine to machine, and a call to libm per sample is slow.
+per-step loops in the tests are.  The drive is a PulseSpec's real
+envelope, and each W_j is one real column, the response to a real unit
+drive.  The envelope is sampled at every step's times all the same, on
+an array of the times of _BLOCK steps or fewer per call.  A block's
+calls fill one float64 sample matrix, which one product with the W
+columns weighs, and a product of two small matrices forms all its terms
+in one multiply, then adds them in the same order: numpy's call
+overhead, not arithmetic, is what these small products cost.  The
+envelope's exponential is _exp, a range reduction and a Taylor
+polynomial in exactly rounded float64 array ops: numpy's SIMD exp and
+cosh, and libm's, differ in the last bit from machine to machine, and a
+call to libm per sample is slow.
 
 The membrane displacement is reconstructed as
 
@@ -61,8 +60,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -173,6 +173,7 @@ class PulseSpec:
     def envelope(self, t: float | np.ndarray) -> float | np.ndarray:
         """Probe drive at time t (1/s): a float for a float, an array for a float64 array."""
         # far tails overflow x*x to inf, as floats do silently; a NaN time gives NaN
+        # for sech and gaussian, 0.0 for rectangle and the amplitude for constant
         with np.errstate(over="ignore", invalid="ignore"):
             x = (np.asarray(t, dtype=float) - self.center) / self.width
             if self.shape == "constant":
@@ -218,9 +219,6 @@ def _exp(a) -> np.ndarray:
     p += r
     p += 1.0
     return np.ldexp(p, k.astype(np.intc))
-
-
-Forcing = Union[PulseSpec, Callable[[float], float]]
 
 
 @dataclass(frozen=True)
@@ -291,27 +289,6 @@ def build_matrix(
         delta=float(delta),
         eigenvalues=(complex(eig[0]), complex(eig[1])),
     )
-
-
-def _sampler(forcing: Forcing) -> Callable[[np.ndarray], np.ndarray]:
-    """The forcing at an array of times as float64; a callable's values must be real numbers."""
-    if isinstance(forcing, PulseSpec):
-        return forcing.envelope
-    if not callable(forcing):
-        raise ParameterError(f"forcing must be a PulseSpec or a callable, got {forcing!r}")
-
-    def sample(ts: np.ndarray) -> np.ndarray:
-        values = [forcing(t) for t in ts.tolist()]
-        try:
-            fs = np.array(values)
-        except ValueError:  # ragged: some values are sequences
-            fs = None
-        if fs is None or fs.dtype.kind not in "biuf" or fs.shape != ts.shape:
-            raise ParameterError("a callable forcing must return one real number per time; "
-                                 "integrate a complex drive f as V[Re f] + 1j * V[Im f]")
-        return fs.astype(float)
-
-    return sample
 
 
 def _apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -497,7 +474,7 @@ def _advance(
 
 def integrate(
     matrix: SystemMatrix,
-    forcing: Forcing,
+    forcing: PulseSpec,
     t_span: tuple[float, float],
     dt: float,
     method: str = METHOD_EXPM,
@@ -511,8 +488,8 @@ def integrate(
     constant forcing.  ``method="rk4"`` is classical fixed-step
     Runge-Kutta, kept as a reference; it requires dt * spectral_radius(M)
     <= 0.1.  Both solve the steps in blocks rather than one at a time.  The
-    drive is real; a pulse must be quiet at t_start (QUIET_START_WIDTHS
-    widths early), a callable's start is not checked.
+    forcing is a PulseSpec, quiet at t_start (QUIET_START_WIDTHS widths
+    early) unless its shape is constant.
 
     The output is decimated to at most ``samples`` points regardless of
     the integration step: the state after every stride-th step, stride =
@@ -520,13 +497,15 @@ def integrate(
     in between are never formed, but every step's forcing enters, sampled
     once at each of its times.
 
-    ParameterError refuses an RK4 step past that margin, naming the largest
-    admissible dt, a step count that overflows float64, a sample
+    ParameterError refuses a forcing that is not a PulseSpec, a ``samples``
+    that is not an integer >= 2, an RK4 step past that margin, naming the
+    largest admissible dt, a step count that overflows float64, a sample
     spacing h/q at or below the float64 spacing at the span's largest |t| (the
-    sample times would not be distinct), a callable's value that is not one
-    real number (integrate a complex f as V[Re f] + 1j * V[Im f]), and a
-    final state that is not finite, which any non-finite forcing sample reaches.
+    sample times would not be distinct), and a final state that is not
+    finite: a PulseSpec's samples are finite, so that is the state overflowing.
     """
+    if not isinstance(forcing, PulseSpec):
+        raise ParameterError(f"forcing must be a PulseSpec, got {forcing!r}")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ParameterError(f"t_span must be finite, got {t_span!r}")
@@ -536,9 +515,13 @@ def integrate(
         raise ParameterError(f"dt must be positive and finite, got {dt!r}")
     if method not in (METHOD_RK4, METHOD_EXPM):
         raise ParameterError(f"unknown integration method {method!r}")
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise ParameterError(f"samples must be an integer, got {samples!r}") from None
     if samples < 2:
         raise ParameterError(f"samples must be >= 2, got {samples}")
-    if isinstance(forcing, PulseSpec) and forcing.shape != "constant":
+    if forcing.shape != "constant":
         earliest = forcing.center - QUIET_START_WIDTHS * forcing.width
         if t0 > earliest:
             raise ParameterError(
@@ -554,7 +537,6 @@ def integrate(
             f"dt*rho(M) <= {MAX_STEP_RADIUS}; use dt <= {MAX_STEP_RADIUS / rho:.6e} s"
         )
 
-    sample = _sampler(forcing)
     steps = (t1 - t0) / dt
     if not math.isfinite(steps):
         raise ParameterError(f"step count (t_end - t_start)/dt overflows float64: "
@@ -568,7 +550,7 @@ def integrate(
                              f"times over t_span {t_span!r}")
     stride = max(1, -(-n_steps // (samples - 1)))  # ceil division
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state is refused below
-        traj = _advance(p, w, sample, t0, h, n_steps, stride)
+        traj = _advance(p, w, forcing.envelope, t0, h, n_steps, stride)
     if not (np.isfinite(traj.q_plus[-1]) and np.isfinite(traj.c_plus[-1])):
         raise ParameterError("the final state is not finite: the forcing overflows "
                              "float64 or is not finite")

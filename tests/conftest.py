@@ -27,6 +27,22 @@ def steady_at(params, power):
     return ce.solve_steady(params, ce.derive(params, drive))
 
 
+class Signal(ce.PulseSpec):
+    """A drive given as a Python function of one time, on integrate's one forcing type.
+
+    Its envelope calls ``f`` at each time, in order, and returns the values
+    as float64.  Its shape is ``constant``, which the quiet-start check
+    skips, so a signal that is already on at t_start passes.
+    """
+
+    def __init__(self, f):
+        super().__init__("constant", 1.0, 1.0)
+        object.__setattr__(self, "f", f)
+
+    def envelope(self, t):
+        return np.array([self.f(x) for x in t.tolist()], dtype=float)
+
+
 def one_point_delays(delta, params, steady):
     """(tau_t, tau_r) at one detuning: the analytic delays of a one-point ce.spectrum."""
     table = ce.spectrum([delta], params, steady)

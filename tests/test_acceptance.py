@@ -18,7 +18,7 @@ from cavity_eit.cli import emit_figure_bundle
 from cavity_eit.dynamics import METHOD_EXPM, METHOD_RK4
 from cavity_eit.params import C_LIGHT, HBAR
 
-from conftest import group_delay_fd, one_point_delays, steady_at
+from conftest import Signal, group_delay_fd, one_point_delays, steady_at
 
 SWEEP_UW = (0.2, 0.5, 1.0, 2.0, 5.0)
 
@@ -238,8 +238,8 @@ def test_criterion_08_linearity_suite(ref, steady_5uw):
     p1 = ce.PulseSpec("sech", 1.0, w, 25 * w)
     p2 = ce.PulseSpec("gaussian", 0.7, 2 * w, 30 * w)
     s1 = ce.integrate(M, p1, span, dt, samples=128)
-    s2 = ce.integrate(M, p2.envelope, span, dt, samples=128)
-    s12 = ce.integrate(M, lambda t: p1.envelope(t) + p2.envelope(t), span, dt, samples=128)
+    s2 = ce.integrate(M, Signal(p2.envelope), span, dt, samples=128)
+    s12 = ce.integrate(M, Signal(lambda t: p1.envelope(t) + p2.envelope(t)), span, dt, samples=128)
     for a, b, c in ((s1.q_plus, s2.q_plus, s12.q_plus), (s1.c_plus, s2.c_plus, s12.c_plus)):
         scale = np.abs(c).max()
         assert np.abs(a + b - c).max() <= 1e-10 * scale

@@ -390,6 +390,21 @@ def test_non_finite_sideband_matrix_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_state_overflow_refused(tmp_path, capsys):
+    # every envelope sample is finite, but with no pump c_plus tends to 1e308/(2 kappa)
+    # = 5e309 for kappa = 0.01 1/s: the state overflows float64 within the 100 s
+    cfg = tmp_path / "k.json"
+    cfg.write_text('{"cavity_decay": 0.01}')
+    out = tmp_path / "x.csv"
+    argv = ["--config", str(cfg), "--power-uw", "0", "--pulse-shape", "constant",
+            "--pulse-amp", "1e308", "--t-end", "100", "--dt", "1"]
+    assert run("dynamics", *argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the final state is not finite")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_dynamics_csv(tmp_path):
     out = tmp_path / "dyn.csv"
     assert run("dynamics", "--samples", "200", "--out", str(out)) == 0
