@@ -26,7 +26,6 @@ from .response import (
     eit_width,
     power_sweep,
     spectrum,
-    transmitted_amplitude,
 )
 from .dynamics import (
     InstabilityError,
@@ -65,5 +64,4 @@ __all__ = [
     "reference_defaults",
     "solve_steady",
     "spectrum",
-    "transmitted_amplitude",
 ]

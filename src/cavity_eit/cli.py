@@ -48,12 +48,7 @@ from .params import (
     reference_defaults,
 )
 from .steady_state import solve_steady
-from .response import (
-    eit_width,
-    power_sweep,
-    spectrum,
-    transmitted_amplitude,
-)
+from .response import power_sweep, spectrum
 from .dynamics import (
     PULSE_SHAPES,
     InstabilityError,
@@ -341,7 +336,8 @@ def _cmd_power_sweep(args, params: SystemParams, drive: DriveParams) -> dict:
                 "group delay undefined at the single requested point "
                 f"(power={p.power:.6e} W, delta={delta:.6e} rad/s)"
             )
-    _emit(_csv(SWEEP_HEADER, *zip(*points)), args.out)
+    columns = ([getattr(p, name) for p in points] for name in ("power", "tau_t", "tau_r", "gamma_width"))
+    _emit(_csv(SWEEP_HEADER, *columns), args.out)
     _note(
         f"{args.command}: {len(points)} rows, tau_t range "
         f"[{min(p.tau_t for p in points):.4e}, {max(p.tau_t for p in points):.4e}] s "
@@ -411,13 +407,11 @@ def comparison_report(params: SystemParams) -> dict:
     reproduced by the response formulas implemented here: the reflected
     delay at the probe resonance evaluates positive at every pump power
     in the sweep.  The numbers are listed side by side rather than forced
-    to agree.
+    to agree.  Every computed value but Q comes from one power sweep at the
+    probe resonance, so the 5 uW delays, dip and width share one pump.
     """
-    _, drive5 = reference_defaults()
-    st5 = solve_steady(params, derive(params, drive5))
-    omega_m = params.mirror_freq
-    empty, *sweep = power_sweep([p * 1e-6 for p in (0.0, 0.2, 0.5, 1.0, 2.0, 5.0)], omega_m, params)
-    t_res = abs(transmitted_amplitude(omega_m, params, st5)) ** 2
+    empty, *sweep = power_sweep([0.0, 0.2e-6, 0.5e-6, 1e-6, 2e-6, 5e-6], params.mirror_freq, params)
+    at5 = sweep[-1]
     return {
         "empty_cavity_transmission_delay_s": {
             "computed": empty.tau_t,
@@ -434,11 +428,11 @@ def comparison_report(params: SystemParams) -> dict:
             "the reported sign is not reproduced by the response formulas",
         },
         "transparency_dip_transmission_at_5uW": {
-            "computed": t_res,
+            "computed": at5.transmission,
             "reference_reported": "deep dip, about 0.01",
         },
         "transparency_width_rad_s_at_5uW": {
-            "computed": eit_width(params, st5),
+            "computed": at5.gamma_width,
             "reference_reported_scale": 4.0e4,
         },
         "mechanical_quality_factor": {

@@ -552,8 +552,7 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state is refused below
         traj = _advance(p, w, forcing.envelope, t0, h, n_steps, stride)
     if not (np.isfinite(traj.q_plus[-1]) and np.isfinite(traj.c_plus[-1])):
-        raise ParameterError("the final state is not finite: the forcing overflows "
-                             "float64 or is not finite")
+        raise ParameterError("the final state is not finite: the state overflows float64")
     return traj
 
 

@@ -68,6 +68,9 @@ class SystemParams:
         _require_positive("cavity_decay", self.cavity_decay)
         if not math.isfinite(self.coupling_freq):
             raise ParameterError(f"wavelength too small: 2*pi*c/wavelength overflows, got {self.wavelength!r}")
+        if HBAR * self.coupling_freq == 0:  # derive divides by the photon energy
+            raise ParameterError("wavelength too large: hbar*2*pi*c/wavelength underflows to 0, "
+                                 f"got {self.wavelength!r}")
         if not math.isfinite(self.effective_detuning):
             raise ParameterError(
                 f"effective_detuning must be finite, got {self.effective_detuning!r}"
@@ -78,6 +81,9 @@ class SystemParams:
                 f"(underdamped oscillator), got {self.mirror_damping!r} >= "
                 f"{self.mirror_freq!r}"
             )
+        if 4.0 * self.mirror_mass * self.mirror_freq * self.cavity_decay == 0:  # eit_width's divisor
+            raise ParameterError("4*mirror_mass*mirror_freq*cavity_decay underflows to 0, got "
+                                 f"{self.mirror_mass!r}, {self.mirror_freq!r}, {self.cavity_decay!r}")
 
     @property
     def quality_factor(self) -> float:

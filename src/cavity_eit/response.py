@@ -69,6 +69,7 @@ class PowerPoint(NamedTuple):
     tau_t: float  # s
     tau_r: float  # s
     gamma_width: float  # rad/s
+    transmission: float  # |eps_T|^2
 
 
 def _pieces(delta: ArrayLike, params: SystemParams, alpha: ArrayLike):
@@ -125,16 +126,10 @@ def _response(delta: ArrayLike, params: SystemParams, alpha: ArrayLike):
     drnum = k2 * dnum - dden
     with np.errstate(divide="ignore", invalid="ignore"):
         eps_t = np.where(den == 0, complex(np.nan, np.nan), k2 * num / den)
-        tau_t = np.imag(dnum / num - dden / den)
-        tau_r = np.imag(drnum / rnum - dden / den)
+        dlog_den = dden / den
+        tau_t = np.imag(dnum / num - dlog_den)
+        tau_r = np.imag(drnum / rnum - dlog_den)
     return eps_t, _mask_floor(tau_t, eps_t), _mask_floor(tau_r, eps_t - 1.0)
-
-
-def transmitted_amplitude(
-    delta: ArrayLike, params: SystemParams, steady: SteadyState
-) -> complex | np.ndarray:
-    """eps_T at scalar or array detunings; NaN at a degenerate denominator."""
-    return _response(delta, params, steady.alpha)[0][()]  # [()]: a scalar for a scalar
 
 
 def spectrum(
@@ -179,7 +174,7 @@ def power_sweep(
     delta: float,
     params: SystemParams,
 ) -> list[PowerPoint]:
-    """Delays and transparency width at one detuning across pump powers.
+    """Delays, transparency width and |eps_T|^2 at one detuning across pump powers.
 
     One steady state per power, one response evaluation per sweep.  Powers
     must be sorted ascending (DriveParams checks each); undefined delays are NaN.
@@ -191,6 +186,7 @@ def power_sweep(
         raise ParameterError("pump powers must be sorted ascending")
 
     steadies = [solve_steady(params, derive(params, DriveParams(pump_power=p))) for p in values]
-    _, tau_t, tau_r = _response(delta, params, np.array([st.alpha for st in steadies]))
-    return [PowerPoint(p, t, r, eit_width(params, st))
-            for p, t, r, st in zip(values, tau_t.tolist(), tau_r.tolist(), steadies)]
+    eps_t, tau_t, tau_r = _response(delta, params, np.array([st.alpha for st in steadies]))
+    # abs of each Python complex: np.abs over the array rounds |eps_T|^2 differently
+    return [PowerPoint(p, t, r, eit_width(params, st), abs(e) ** 2) for p, t, r, st, e
+            in zip(values, tau_t.tolist(), tau_r.tolist(), steadies, eps_t.tolist())]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 import cavity_eit as ce
+from cavity_eit import response
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +44,11 @@ class Signal(ce.PulseSpec):
         return np.array([self.f(x) for x in t.tolist()], dtype=float)
 
 
+def transmitted(delta, params, steady):
+    """eps_T at scalar or array detunings, from the response's one evaluation; NaN where den = 0."""
+    return response._response(delta, params, steady.alpha)[0][()]  # [()]: a scalar for a scalar
+
+
 def one_point_delays(delta, params, steady):
     """(tau_t, tau_r) at one detuning: the analytic delays of a one-point ce.spectrum."""
     table = ce.spectrum([delta], params, steady)
@@ -62,13 +68,12 @@ def group_delay_fd(delta, params, steady):
     neighbour.  No single step serves the whole domain: where eps_T has a
     zero a few rad/s from omega_m, 1e-6 omega_m is 4e-3 of tau off, and
     where |eps_R| is 6e-4, 1e-7 omega_m is 1e-6 off.  It shares only eps_T,
-    through the public array path, with the code it checks, and none of its
+    through the array path, with the code it checks, and none of its
     derivative algebra.  Like the library, it reports NaN where
     |eps_X| < ce.AMPLITUDE_FLOOR.
     """
     steps = 1e-4 * params.mirror_freq * 0.5 ** np.arange(16)
-    eps = ce.transmitted_amplitude(np.concatenate(([delta], delta + steps, delta - steps)),
-                                   params, steady)
+    eps = transmitted(np.concatenate(([delta], delta + steps, delta - steps)), params, steady)
     central = (eps[1:17] - eps[17:]) / (2.0 * steps)
     richardson = (4.0 * central[1:] - central[:-1]) / 3.0
     der = richardson[int(np.argmin(np.abs(np.diff(richardson)))) + 1]

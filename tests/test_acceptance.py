@@ -18,7 +18,7 @@ from cavity_eit.cli import emit_figure_bundle
 from cavity_eit.dynamics import METHOD_EXPM, METHOD_RK4
 from cavity_eit.params import C_LIGHT, HBAR
 
-from conftest import Signal, group_delay_fd, one_point_delays, steady_at
+from conftest import Signal, group_delay_fd, one_point_delays, steady_at, transmitted
 
 SWEEP_UW = (0.2, 0.5, 1.0, 2.0, 5.0)
 
@@ -40,7 +40,7 @@ def test_criterion_01_empty_cavity_identity(ref):
     st0 = steady_at(params, 0.0)
     t0 = time.perf_counter()
     for _ in range(100):
-        et = ce.transmitted_amplitude(params.effective_detuning, params, st0)
+        et = transmitted(params.effective_detuning, params, st0)
     elapsed = (time.perf_counter() - t0) / 100
     assert abs(et - (1.0 + 0.0j)) < 1e-12
     assert abs(et - 1.0) ** 2 < 1e-12  # R = |eps_T - 1|^2
@@ -74,7 +74,7 @@ def test_criterion_02_transparency_dip(ref, steady_5uw):
     assert t_res == pytest.approx(0.010, rel=0.20)
 
     st0 = steady_at(params, 0.0)
-    t_empty = abs(ce.transmitted_amplitude(om, params, st0)) ** 2
+    t_empty = abs(transmitted(om, params, st0)) ** 2
     assert abs(t_empty - 1.0) < 1e-12
     assert elapsed < 1.0
     _report(2, f"T(om_m)={t_res:.4f} (oracle {t_oracle:.4f}), empty-cavity T=1, "
@@ -263,7 +263,7 @@ def test_criterion_09_frequency_time_consistency(ref):
             method=METHOD_EXPM, samples=8,
         )
         got = traj.c_plus[-1]
-        want = ce.transmitted_amplitude(delta, params, st) / (2 * params.cavity_decay)
+        want = transmitted(delta, params, st) / (2 * params.cavity_decay)
         worst = max(worst, abs(got - want) / abs(want))
     assert worst < 1e-6
     _report(9, f"time-domain steady state matches the response formula, "

@@ -36,7 +36,7 @@ from cavity_eit.cli import (
 )
 from cavity_eit.params import _param_dict, load_params
 
-from conftest import steady_at
+from conftest import steady_at, transmitted
 
 
 def run(*argv):
@@ -267,7 +267,7 @@ def degenerate_pump(params):
     kappa, det = params.cavity_decay, params.effective_detuning
     power = m * om**2 * (4.0 * kappa**2 + det**2) / (2.0 * det) / steady_at(params, 1.0).alpha
     for _ in range(16):
-        if math.isnan(ce.transmitted_amplitude(0.0, params, steady_at(params, power)).real):
+        if math.isnan(transmitted(0.0, params, steady_at(params, power)).real):
             return power
         power = math.nextafter(power, math.inf)
     return None
@@ -510,6 +510,8 @@ OVERFLOWING_CONFIGS = {
     "int-401-digits": ('{"pump_power": 1%s}' % ("0" * 400), "pump_power"),
     "negative-int-hz": ('{"mirror_freq_hz": -1%s}' % ("0" * 400), "mirror_freq_hz"),
     "int-past-digit-limit": ('{"pump_power": 1%s}' % ("0" * 5000), "JSON|pump_power"),
+    "wavelength-photon-energy": ('{"wavelength": 1e308}', "wavelength"),  # hbar*omega_c underflows
+    "width-divisor": ('{"cavity_decay": 1e-320}', "cavity_decay"),  # 4*m*omega_m*kappa underflows
 }
 
 
@@ -710,6 +712,12 @@ def test_comparison_report_contents(tmp_path):
     assert refl["reference_reported"] == -2.0
     assert all(v > 0 for v in refl["computed"].values())
     assert "note" in refl
+    # the 5 uW delays, dip and width are one sweep point at 5e-6 W
+    at5 = ce.power_sweep([5e-6], params.mirror_freq, params)[0]
+    assert report["transmission_delay_s_at_probe_resonance"]["computed"]["5.0uW"] == at5.tau_t
+    assert refl["computed"]["5.0uW"] == at5.tau_r
+    assert report["transparency_dip_transmission_at_5uW"]["computed"] == at5.transmission
+    assert report["transparency_width_rad_s_at_5uW"]["computed"] == at5.gamma_width
 
 
 # SHA-256 of every file of every bundle.  Any change here is a change of

@@ -14,7 +14,7 @@ from cavity_eit.cli import FIGURE_RUNS, main
 from cavity_eit.dynamics import METHOD_EXPM, METHOD_RK4, PULSE_SHAPES
 from cavity_eit.params import C_LIGHT, HBAR
 
-from conftest import Signal, near_reference, one_point_delays, steady_at
+from conftest import Signal, near_reference, one_point_delays, steady_at, transmitted
 
 
 @pytest.fixture(scope="module")
@@ -454,7 +454,7 @@ def test_fixed_point_matches_response_over_parameters(point, log_power, x):
     t_end = 40.0 / M.slowest_rate
     traj = ce.integrate(M, ce.PulseSpec("constant", 1.0, 1.0), (0.0, t_end), t_end / 400,
                         method=METHOD_EXPM, samples=8)
-    want = ce.transmitted_amplitude(delta, params, steady) / (2.0 * params.cavity_decay)
+    want = transmitted(delta, params, steady) / (2.0 * params.cavity_decay)
     assert abs(traj.c_plus[-1] - want) <= 1e-12 * abs(want)
 
 
@@ -1259,7 +1259,7 @@ def test_unlinearised_cw_sideband_is_the_response(ref, steady_5uw):
     y = ((dc[-4 * 128:] * np.exp(2j * np.pi * steps / k)).mean(axis=0) / amp).reshape(3, 2, 2)
     y = (4.0 * y[..., 1] - y[..., 0]) / 3.0
     y = (16.0 * y[:, 1] - y[:, 0]) / 15.0
-    want = ce.transmitted_amplitude(xs * om, params, steady_5uw) / (2.0 * params.cavity_decay)
+    want = transmitted(xs * om, params, steady_5uw) / (2.0 * params.cavity_decay)
     assert (np.abs(y - want) <= 2e-6 * np.abs(want)).all()
 
 

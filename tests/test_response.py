@@ -14,7 +14,7 @@ from cavity_eit import response
 from cavity_eit.cli import emit_figure_bundle
 from cavity_eit.params import C_LIGHT, HBAR
 
-from conftest import near_reference, one_point_delays, steady_at
+from conftest import near_reference, one_point_delays, steady_at, transmitted
 
 
 def empty(params):
@@ -26,7 +26,7 @@ def empty(params):
 
 def test_empty_cavity_resonance_identity(ref):
     params, _ = ref
-    et = ce.transmitted_amplitude(params.effective_detuning, params, empty(params))
+    et = transmitted(params.effective_detuning, params, empty(params))
     assert abs(et - 1.0) < 1e-12
 
 
@@ -39,7 +39,7 @@ def test_empty_cavity_closed_form(ref):
     det = params.effective_detuning
     for d in np.linspace(0.5, 1.5, 7) * params.mirror_freq:
         expected = (k2 - 1j * (det + d)) / ((k2 - 1j * d) ** 2 + det**2)
-        got = ce.transmitted_amplitude(d, params, st) / (2 * params.cavity_decay)
+        got = transmitted(d, params, st) / (2 * params.cavity_decay)
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -74,13 +74,13 @@ def test_c_plus_solves_linearised_equations(ref):
             [HBAR * g * np.conj(c0), HBAR * g * c0, m * (om**2 - d**2 - 1j * gm * d)],
         ])
         want = np.linalg.solve(system, np.array([1.0, 0.0, 0.0], dtype=complex))[0]
-        got = ce.transmitted_amplitude(float(d), params, steady_at(params, float(power))) / (2 * k)
+        got = transmitted(float(d), params, steady_at(params, float(power))) / (2 * k)
         assert got == pytest.approx(want, rel=1e-12), (power, d / om)
 
 
 def test_resonance_transmission_5uw(ref, steady_5uw):
     params, _ = ref
-    et = ce.transmitted_amplitude(params.mirror_freq, params, steady_5uw)
+    et = transmitted(params.mirror_freq, params, steady_5uw)
     assert et == pytest.approx(9.4735489503e-6 - 9.9998086161e-2j, rel=1e-9)
     assert abs(et) ** 2 == pytest.approx(0.01, rel=0.01)
     assert abs(et - 1.0) ** 2 == pytest.approx(1.0099806702, rel=1e-9)
@@ -91,7 +91,7 @@ def test_probe_response_fields(ref, steady_5uw):
     params, _ = ref
     d = 1.02 * params.mirror_freq
     table = ce.spectrum([d], params, steady_5uw)
-    eps_t = ce.transmitted_amplitude(d, params, steady_5uw)
+    eps_t = transmitted(d, params, steady_5uw)
     assert table.eps_t[0] == pytest.approx(eps_t, rel=1e-15)
     for et, t, r, phase in (
         (eps_t, abs(eps_t) ** 2, abs(eps_t - 1.0) ** 2, math.atan2(eps_t.imag, eps_t.real)),
@@ -106,7 +106,7 @@ def test_probe_response_fields(ref, steady_5uw):
 def test_empty_resonance_has_no_reflection(ref):
     params, _ = ref
     d = params.effective_detuning
-    eps_t = ce.transmitted_amplitude(d, params, empty(params))
+    eps_t = transmitted(d, params, empty(params))
     table = ce.spectrum([d], params, empty(params))
     for et, r, phase in (
         (eps_t, abs(eps_t - 1.0) ** 2, math.atan2(eps_t.imag, eps_t.real)),
@@ -151,8 +151,8 @@ def test_degenerate_denominator_detected(ref):
     crafted = degenerate_at_zero(params)
     # a scalar point is a complex NaN; the array path records a gap
     # instead of aborting the sweep
-    assert cmath.isnan(ce.transmitted_amplitude(0.0, params, crafted))
-    vals = ce.transmitted_amplitude(np.array([0.0, params.mirror_freq]), params, crafted)
+    assert cmath.isnan(transmitted(0.0, params, crafted))
+    vals = transmitted(np.array([0.0, params.mirror_freq]), params, crafted)
     assert np.isnan(vals[0])
     assert np.isfinite(vals[1])
 
@@ -170,9 +170,9 @@ def test_degenerate_denominator_is_one_rule(ref):
         assert np.isfinite(column[1])
     tau_t, tau_r = one_point_delays(0.0, params, crafted)
     assert math.isnan(tau_t) and math.isnan(tau_r)
-    scalar = ce.transmitted_amplitude(0.0, params, crafted)
+    scalar = transmitted(0.0, params, crafted)
     assert math.isnan(scalar.real) and math.isnan(scalar.imag)
-    assert np.isnan(ce.transmitted_amplitude(np.array([0.0, om]), params, crafted)[0])
+    assert np.isnan(transmitted(np.array([0.0, om]), params, crafted)[0])
 
 
 @settings(deadline=None)
@@ -183,8 +183,8 @@ def test_conjugation_symmetry_over_parameters(point, x):
     steady = steady_at(params, power)
     flipped = dataclasses.replace(params, effective_detuning=-params.effective_detuning)
     d = x * params.mirror_freq
-    lhs = ce.transmitted_amplitude(-d, flipped, dataclasses.replace(steady, alpha=-steady.alpha))
-    rhs = np.conj(ce.transmitted_amplitude(d, params, steady))
+    lhs = transmitted(-d, flipped, dataclasses.replace(steady, alpha=-steady.alpha))
+    rhs = np.conj(transmitted(d, params, steady))
     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
@@ -196,7 +196,7 @@ def test_scalar_amplitude_matches_spectrum_over_parameters(point, xs):
     grid = np.sort(xs) * params.mirror_freq
     table = ce.spectrum(grid, params, steady)
     for d, eps in zip(grid, table.eps_t):
-        scalar = ce.transmitted_amplitude(float(d), params, steady)
+        scalar = transmitted(float(d), params, steady)
         assert abs(scalar - eps) <= 1e-14 * abs(eps)
 
 
@@ -208,8 +208,8 @@ def test_degenerate_point_is_nan_on_every_path(point):
     params, _ = point
     crafted = degenerate_at_zero(params)
     om = params.mirror_freq
-    assert cmath.isnan(ce.transmitted_amplitude(0.0, params, crafted))
-    amps = ce.transmitted_amplitude(np.array([0.0, om]), params, crafted)
+    assert cmath.isnan(transmitted(0.0, params, crafted))
+    amps = transmitted(np.array([0.0, om]), params, crafted)
     assert cmath.isnan(amps[0]) and np.isfinite(amps[1])
     table = ce.spectrum([0.0, om], params, crafted)
     assert cmath.isnan(table.eps_t[0]) and math.isnan(table.tau_t[0])
@@ -251,14 +251,14 @@ def test_conjugation_symmetry(ref, steady_5uw):
     )
     flipped_steady = dataclasses.replace(steady_5uw, alpha=-steady_5uw.alpha)
     for d in np.linspace(0.6, 1.4, 5) * params.mirror_freq:
-        lhs = ce.transmitted_amplitude(-d, flipped_params, flipped_steady)
-        rhs = np.conj(ce.transmitted_amplitude(d, params, steady_5uw))
+        lhs = transmitted(-d, flipped_params, flipped_steady)
+        rhs = np.conj(transmitted(d, params, steady_5uw))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     st0 = empty(params)
     for d in np.linspace(0.6, 1.4, 5) * params.mirror_freq:
-        lhs = ce.transmitted_amplitude(-d, flipped_params, st0)
-        rhs = np.conj(ce.transmitted_amplitude(d, params, st0))
+        lhs = transmitted(-d, flipped_params, st0)
+        rhs = np.conj(transmitted(d, params, st0))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -266,9 +266,9 @@ def test_vectorized_matches_scalar(ref, steady_5uw):
     # numpy's vector and scalar complex division differ in the last ulp
     params, _ = ref
     grid = np.linspace(0.8, 1.2, 11) * params.mirror_freq
-    vec = ce.transmitted_amplitude(grid, params, steady_5uw)
+    vec = transmitted(grid, params, steady_5uw)
     for i, d in enumerate(grid):
-        want = ce.transmitted_amplitude(float(d), params, steady_5uw)
+        want = transmitted(float(d), params, steady_5uw)
         assert vec[i] == pytest.approx(want, rel=1e-14)
 
 
@@ -417,8 +417,8 @@ def per_point_sweep(powers, delta, params):
     out = []
     for p in powers:
         steady = steady_at(params, p)
-        _, tau_t, tau_r = response._response(delta, params, steady.alpha)
-        out.append((p, float(tau_t), float(tau_r), ce.eit_width(params, steady)))
+        eps_t, tau_t, tau_r = response._response(delta, params, steady.alpha)
+        out.append((p, float(tau_t), float(tau_r), ce.eit_width(params, steady), abs(complex(eps_t)) ** 2))
     return out
 
 
@@ -437,6 +437,18 @@ def test_power_sweep_matches_scalar_path_over_parameters(point, log_powers, x):
     for delta in (params.mirror_freq, 0.0, x * params.mirror_freq):
         points = ce.power_sweep(powers, delta, params)
         assert float64_bytes(points) == float64_bytes(per_point_sweep(powers, delta, params))
+
+
+@settings(deadline=None)
+@given(near_reference(), st.floats(-3.0, 3.0))
+def test_sweep_transmission_is_squared_amplitude(point, x):
+    # |eps_T|^2 of each sweep point rounds as abs(eps_T) ** 2 of its one-pump amplitude,
+    # not as np.abs over the sweep's array
+    params, power = point
+    delta = x * params.mirror_freq
+    for pt in ce.power_sweep([0.0, power], delta, params):
+        want = abs(transmitted(delta, params, steady_at(params, pt.power))) ** 2
+        assert float64_bytes([pt.transmission]) == float64_bytes([want])
 
 
 def test_power_sweep_matches_scalar_path_across_sign_change(ref):
@@ -472,12 +484,12 @@ def test_detuning_domain_ends_at_optical_frequency(ref, steady_5uw):
             ce.build_matrix(delta, params, derived, steady_5uw)
     # a scalar amplitude and a one-point spectrum refuse it too, before m*delta^4 can overflow
     for delta in (omega_c, -omega_c, 1e300):
-        for entry in (ce.transmitted_amplitude, one_point_delays):
+        for entry in (transmitted, one_point_delays):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ce.ParameterError, match="probe detuning"):
                     entry(delta, params, steady_5uw)
-    assert ce.transmitted_amplitude(np.array([]), params, steady_5uw).shape == (0,)
+    assert transmitted(np.array([]), params, steady_5uw).shape == (0,)
     # just inside, every value is finite but tau_t, masked because |eps_T| ~ 1e-10
     inside = np.nextafter(omega_c, 0)
     table = ce.spectrum([-inside, inside], params, steady_5uw)
@@ -489,7 +501,7 @@ def test_detuning_domain_ends_at_optical_frequency(ref, steady_5uw):
             assert math.isfinite(point.tau_r) and math.isfinite(point.gamma_width)
     # a scalar amplitude and a one-point spectrum return the same as the spectrum there
     for i, delta in enumerate((-inside, inside)):
-        amp = ce.transmitted_amplitude(delta, params, steady_5uw)
+        amp = transmitted(delta, params, steady_5uw)
         assert abs(amp - table.eps_t[i]) <= 1e-14 * abs(table.eps_t[i])
         assert amp.imag == pytest.approx(math.copysign(9.5116469e-11, delta), rel=1e-8)
         tau_t, tau_r = one_point_delays(delta, params, steady_5uw)
