@@ -23,7 +23,6 @@ from .response import (
     AMPLITUDE_FLOOR,
     PowerPoint,
     SpectrumTable,
-    eit_width,
     power_sweep,
     spectrum,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "Trajectory",
     "build_matrix",
     "derive",
-    "eit_width",
     "integrate",
     "load_params",
     "power_sweep",

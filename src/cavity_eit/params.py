@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Union
@@ -68,8 +69,8 @@ class SystemParams:
         _require_positive("cavity_decay", self.cavity_decay)
         if not math.isfinite(self.coupling_freq):
             raise ParameterError(f"wavelength too small: 2*pi*c/wavelength overflows, got {self.wavelength!r}")
-        if HBAR * self.coupling_freq == 0:  # derive divides by the photon energy
-            raise ParameterError("wavelength too large: hbar*2*pi*c/wavelength underflows to 0, "
+        if HBAR * self.coupling_freq < sys.float_info.min:  # derive divides by the photon energy
+            raise ParameterError("wavelength too large: hbar*2*pi*c/wavelength is subnormal, "
                                  f"got {self.wavelength!r}")
         if not math.isfinite(self.effective_detuning):
             raise ParameterError(
@@ -81,7 +82,7 @@ class SystemParams:
                 f"(underdamped oscillator), got {self.mirror_damping!r} >= "
                 f"{self.mirror_freq!r}"
             )
-        if 4.0 * self.mirror_mass * self.mirror_freq * self.cavity_decay == 0:  # eit_width's divisor
+        if 4.0 * self.mirror_mass * self.mirror_freq * self.cavity_decay == 0:  # the width's divisor in power_sweep
             raise ParameterError("4*mirror_mass*mirror_freq*cavity_decay underflows to 0, got "
                                  f"{self.mirror_mass!r}, {self.mirror_freq!r}, {self.cavity_decay!r}")
 

@@ -126,9 +126,7 @@ def test_criterion_03b_reflection_advance_sweep(ref):
 def test_criterion_04_width_linearity(ref):
     params, _ = ref
     powers = np.linspace(0.1e-6, 5e-6, 20)
-    widths = np.array(
-        [ce.eit_width(params, steady_at(params, p)) for p in powers]
-    )
+    widths = np.array([pt.gamma_width for pt in ce.power_sweep(powers, params.mirror_freq, params)])
     slope, intercept = np.polyfit(powers, widths, 1)
     resid = widths - (slope * powers + intercept)
     rel_resid = np.abs(resid).max() / np.abs(widths).max()
@@ -139,7 +137,7 @@ def test_criterion_04_width_linearity(ref):
     oracle = params.mirror_damping / 2 + _oracle_alpha(params, 5e-6) / (
         4 * params.mirror_mass * params.mirror_freq * params.cavity_decay
     )
-    got = ce.eit_width(params, steady_at(params, 5e-6))
+    got = ce.power_sweep([5e-6], params.mirror_freq, params)[0].gamma_width
     assert got == pytest.approx(oracle, rel=0.10)
     assert got == pytest.approx(4.0e4, rel=0.10)
     _report(4, f"Gamma affine in power (residual {rel_resid:.1e}), "

@@ -511,6 +511,7 @@ OVERFLOWING_CONFIGS = {
     "negative-int-hz": ('{"mirror_freq_hz": -1%s}' % ("0" * 400), "mirror_freq_hz"),
     "int-past-digit-limit": ('{"pump_power": 1%s}' % ("0" * 5000), "JSON|pump_power"),
     "wavelength-photon-energy": ('{"wavelength": 1e308}', "wavelength"),  # hbar*omega_c underflows
+    "wavelength-subnormal": ('{"wavelength": 1e290}', "wavelength"),  # 2*kappa*P/(hbar*omega_c) overflows
     "width-divisor": ('{"cavity_decay": 1e-320}', "cavity_decay"),  # 4*m*omega_m*kappa underflows
 }
 

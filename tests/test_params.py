@@ -83,11 +83,12 @@ def test_drive_amplitude_sqrt_power_scaling(ref):
         ("cavity_length", -1.0),
         ("wavelength", 0.0),
         ("wavelength", 1e308),  # hbar*omega_c, which derive divides by, underflows to 0
+        ("wavelength", 1e290),  # hbar*omega_c is subnormal: derive's quotient overflows
         ("mirror_mass", -40e-12),
         ("mirror_freq", 0.0),
         ("mirror_damping", 0.0),
         ("cavity_decay", -1.0),
-        ("cavity_decay", 1e-320),  # 4*m*omega_m*kappa, which eit_width divides by, underflows to 0
+        ("cavity_decay", 1e-320),  # 4*m*omega_m*kappa, the width's divisor, underflows to 0
         ("effective_detuning", math.inf),
     ],
 )

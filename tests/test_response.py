@@ -293,7 +293,7 @@ def test_empty_spectrum_is_lorentzian(ref):
 def test_spectrum_dip_at_resonance_5uw(ref, steady_5uw):
     params, _ = ref
     om = params.mirror_freq
-    gamma = ce.eit_width(params, steady_5uw)
+    gamma = params.mirror_damping / 2 + steady_5uw.alpha / (4 * params.mirror_mass * om * params.cavity_decay)
     grid = np.linspace(0.5 * om, 1.5 * om, 2001)
     table = ce.spectrum(grid, params, steady_5uw)
     i_res = np.argmin(np.abs(grid - om))
@@ -356,7 +356,9 @@ def test_spectrum_grid_validation(ref, steady_5uw):
 
 def test_width_zero_power(ref):
     params, _ = ref
-    assert ce.eit_width(params, empty(params)) == params.mirror_damping / 2 == 0.38
+    assert empty(params).alpha == 0.0
+    (pt,) = ce.power_sweep([0.0], params.mirror_freq, params)
+    assert pt.gamma_width == params.mirror_damping / 2 == 0.38
 
 
 def test_width_reference_value(ref, steady_5uw):
@@ -369,7 +371,7 @@ def test_width_reference_value(ref, steady_5uw):
     expected = params.mirror_damping / 2 + alpha / (
         4 * params.mirror_mass * params.mirror_freq * params.cavity_decay
     )
-    w = ce.eit_width(params, steady_5uw)
+    w = ce.power_sweep([drive.pump_power], params.mirror_freq, params)[0].gamma_width
     assert w == pytest.approx(expected, rel=1e-12)
     assert w == pytest.approx(3.9710574643e4, rel=1e-9)
     assert w >= params.mirror_damping / 2
@@ -378,9 +380,7 @@ def test_width_reference_value(ref, steady_5uw):
 def test_width_power_homogeneity(ref):
     params, _ = ref
     gm2 = params.mirror_damping / 2
-    g1 = ce.eit_width(params, steady_at(params, 1e-6))
-    g2 = ce.eit_width(params, steady_at(params, 2e-6))
-    g4 = ce.eit_width(params, steady_at(params, 4e-6))
+    g1, g2, g4 = (pt.gamma_width for pt in ce.power_sweep([1e-6, 2e-6, 4e-6], params.mirror_freq, params))
     assert g4 - gm2 == 4.0 * (g1 - gm2)  # exact quadrupling
     assert g2 - gm2 == pytest.approx(2.0 * (g1 - gm2), rel=1e-13)
 
@@ -414,11 +414,13 @@ def test_power_sweep_reference_behaviour(ref):
 
 def per_point_sweep(powers, delta, params):
     """Oracle for ce.power_sweep: one steady state and one scalar response per power."""
+    divisor = 4.0 * params.mirror_mass * params.mirror_freq * params.cavity_decay
     out = []
     for p in powers:
         steady = steady_at(params, p)
         eps_t, tau_t, tau_r = response._response(delta, params, steady.alpha)
-        out.append((p, float(tau_t), float(tau_r), ce.eit_width(params, steady), abs(complex(eps_t)) ** 2))
+        gamma = params.mirror_damping / 2.0 + steady.alpha / divisor
+        out.append((p, float(tau_t), float(tau_r), gamma, abs(complex(eps_t)) ** 2))
     return out
 
 
@@ -449,6 +451,17 @@ def test_sweep_transmission_is_squared_amplitude(point, x):
     for pt in ce.power_sweep([0.0, power], delta, params):
         want = abs(transmitted(delta, params, steady_at(params, pt.power))) ** 2
         assert float64_bytes([pt.transmission]) == float64_bytes([want])
+
+
+@settings(deadline=None)
+@given(near_reference(), st.floats(-3.0, 3.0))
+def test_sweep_width_is_weak_coupling_formula(point, x):
+    # Gamma of each sweep point is gamma_m/2 + alpha/(4 m omega_m kappa) of its one-pump alpha,
+    # whatever the detuning
+    params, power = point
+    divisor = 4.0 * params.mirror_mass * params.mirror_freq * params.cavity_decay
+    for pt in ce.power_sweep([0.0, power], x * params.mirror_freq, params):
+        assert pt.gamma_width == params.mirror_damping / 2.0 + steady_at(params, pt.power).alpha / divisor
 
 
 def test_power_sweep_matches_scalar_path_across_sign_change(ref):
