@@ -10,7 +10,6 @@ time-domain membrane/field response to pulsed probes.
 from .params import (
     C_LIGHT,
     HBAR,
-    DerivedConstants,
     DriveParams,
     ParameterError,
     SystemParams,
@@ -21,8 +20,6 @@ from .params import (
 from .steady_state import SteadyState, solve_steady
 from .response import (
     AMPLITUDE_FLOOR,
-    PowerPoint,
-    SpectrumTable,
     power_sweep,
     spectrum,
 )
@@ -42,13 +39,10 @@ __all__ = [
     "AMPLITUDE_FLOOR",
     "C_LIGHT",
     "HBAR",
-    "DerivedConstants",
     "DriveParams",
     "InstabilityError",
     "ParameterError",
-    "PowerPoint",
     "PulseSpec",
-    "SpectrumTable",
     "SteadyState",
     "SystemMatrix",
     "SystemParams",

@@ -69,9 +69,6 @@ class UndefinedDelayError(ArithmeticError):
     """The group delay at the single requested sweep point is undefined."""
 
 
-NUMERICAL_ERRORS = (InstabilityError, UndefinedDelayError)
-
-
 # The CSV float formatter.  A finite v != 0 is written as the 17 significant
 # digits N of |v| * 10^(16 - E), N in [10^16, 10^17), rounded half-even as
 # '%.16e' rounds it.  The decade E is exact: frexp's exponent e gives
@@ -242,10 +239,6 @@ def _emit_json(doc: dict, out: str | Path) -> None:
     _emit([json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n"], out)
 
 
-def _note(msg: str) -> None:
-    print(msg, file=sys.stderr)
-
-
 def _powers_uw(raw: str | None) -> list[float]:
     """Pump powers in microwatts: the --powers-uw list, else 20 points over 0.1..5."""
     if raw is None:
@@ -283,10 +276,8 @@ def _cmd_steady_state(args, params: SystemParams, drive: DriveParams) -> dict:
         "alpha_si": st.alpha,
     }
     _emit_json(doc, args.out)
-    _note(
-        f"steady-state: photon_number={st.photon_number:.6e} "
-        f"alpha={st.alpha:.6e} -> {args.out}"
-    )
+    print(f"steady-state: photon_number={st.photon_number:.6e} alpha={st.alpha:.6e} -> {args.out}",
+          file=sys.stderr)
     return {}
 
 
@@ -314,10 +305,8 @@ def _cmd_spectrum(args, params: SystemParams, drive: DriveParams) -> dict:
     args.columns = columns  # what a figure bundle's phase-unwrap step reads
     # np.nanargmin, but row 0 (min T = nan) when no transmission is defined
     i_min = int(np.argmin(np.where(np.isnan(table.transmission), np.inf, table.transmission)))
-    _note(
-        f"spectrum: {len(table)} rows, min T={table.transmission[i_min]:.4e} at "
-        f"delta/omega_m={table.delta[i_min] / params.mirror_freq:.6f} -> {args.out}"
-    )
+    print(f"spectrum: {len(grid)} rows, min T={table.transmission[i_min]:.4e} at "
+          f"delta/omega_m={table.delta[i_min] / params.mirror_freq:.6f} -> {args.out}", file=sys.stderr)
     return {
         "grid": {
             "min": args.grid_min, "max": args.grid_max, "n": args.grid_n, "unit": "mirror_freq"
@@ -338,11 +327,9 @@ def _cmd_power_sweep(args, params: SystemParams, drive: DriveParams) -> dict:
             )
     columns = ([getattr(p, name) for p in points] for name in ("power", "tau_t", "tau_r", "gamma_width"))
     _emit(_csv(SWEEP_HEADER, *columns), args.out)
-    _note(
-        f"{args.command}: {len(points)} rows, tau_t range "
-        f"[{min(p.tau_t for p in points):.4e}, {max(p.tau_t for p in points):.4e}] s "
-        f"-> {args.out}"
-    )
+    print(f"{args.command}: {len(points)} rows, tau_t range "
+          f"[{min(p.tau_t for p in points):.4e}, {max(p.tau_t for p in points):.4e}] s -> {args.out}",
+          file=sys.stderr)
     return {
         "powers_uw": powers_uw,
         "delta_over_omega_m": args.delta_over_omega_m,
@@ -370,10 +357,8 @@ def _cmd_dynamics(args, params: SystemParams, drive: DriveParams) -> dict:
     traj = reconstruct_displacement(traj, st, delta)
     q, c = traj.q_plus, traj.c_plus
     _emit(_csv(DYNAMICS_HEADER, traj.times, q.real, q.imag, c.real, c.imag, traj.q_total), args.out)
-    _note(
-        f"dynamics: {len(traj.times)} rows, max |q_plus|={np.max(np.abs(traj.q_plus)):.4e} m "
-        f"-> {args.out}"
-    )
+    print(f"dynamics: {len(traj.times)} rows, max |q_plus|={np.max(np.abs(traj.q_plus)):.4e} m "
+          f"-> {args.out}", file=sys.stderr)
     return {
         "pulse": {
             "shape": pulse.shape,
@@ -475,7 +460,6 @@ FIGURE_RUNS = {
     "fig9": [("dynamics", _KICK, "fig9_dynamics.csv")],
     "fig10": [("dynamics", _KICK, "fig10_dynamics.csv")],
 }
-FIGURE_IDS = tuple(FIGURE_RUNS)
 
 
 def emit_figure_bundle(figure_id: str, out_dir: str | Path) -> list[Path]:
@@ -487,7 +471,7 @@ def emit_figure_bundle(figure_id: str, out_dir: str | Path) -> list[Path]:
     """
     if figure_id not in FIGURE_RUNS:
         raise ParameterError(
-            f"figure id must be one of {', '.join(FIGURE_IDS)}, got {figure_id!r}"
+            f"figure id must be one of {', '.join(FIGURE_RUNS)}, got {figure_id!r}"
         )
     out = Path(out_dir)
     parser = _build_parser()
@@ -518,7 +502,7 @@ def emit_figure_bundle(figure_id: str, out_dir: str | Path) -> list[Path]:
 
 def _cmd_figure(args) -> None:
     files = emit_figure_bundle(args.figure_id, args.out_dir)
-    _note(f"figure {args.figure_id}: wrote {len(files)} files to {args.out_dir}")
+    print(f"figure {args.figure_id}: wrote {len(files)} files to {args.out_dir}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_run, command_func=_cmd_dynamics)
 
     p = sub.add_parser("figure", help="write the data bundle behind one published figure")
-    p.add_argument("figure_id", choices=list(FIGURE_IDS))
+    p.add_argument("figure_id", choices=list(FIGURE_RUNS))
     p.add_argument("--out-dir", default="figures", help="directory for the bundle files")
     p.set_defaults(func=_cmd_figure)
 
@@ -599,12 +583,8 @@ def main(argv=None) -> int:
         args.func(args)
         return 0
     except (ParameterError, OSError) as exc:
-        _note(f"error: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NUMERICAL_ERRORS as exc:
-        _note(f"numerical error: {exc}")
+    except (InstabilityError, UndefinedDelayError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

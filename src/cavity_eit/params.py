@@ -72,6 +72,11 @@ class SystemParams:
         if HBAR * self.coupling_freq < sys.float_info.min:  # derive divides by the photon energy
             raise ParameterError("wavelength too large: hbar*2*pi*c/wavelength is subnormal, "
                                  f"got {self.wavelength!r}")
+        g = self.coupling_freq / self.cavity_length
+        if HBAR * (g * g) < sys.float_info.min:  # alpha = hbar*g^2*|c0|^2 would lose its digits
+            raise ParameterError("wavelength*cavity_length too large: hbar*g^2 with g = 2*pi*c/"
+                                 f"(wavelength*cavity_length) is subnormal, got {self.wavelength!r}, "
+                                 f"{self.cavity_length!r}")
         if not math.isfinite(self.effective_detuning):
             raise ParameterError(
                 f"effective_detuning must be finite, got {self.effective_detuning!r}"

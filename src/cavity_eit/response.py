@@ -60,9 +60,6 @@ class SpectrumTable:
     tau_r: np.ndarray  # s
     power: float  # W, pump power the steady state was solved at
 
-    def __len__(self) -> int:
-        return len(self.delta)
-
 
 class PowerPoint(NamedTuple):
     power: float  # W

@@ -47,18 +47,16 @@ def solve_steady(params: SystemParams, derived: DerivedConstants) -> SteadyState
     denom = 2.0 * params.cavity_decay + 1j * params.effective_detuning
     c0 = derived.drive_amplitude / denom
     g = derived.coupling_constant
-    try:  # a float power raises OverflowError where a product gives inf
-        n = abs(c0) ** 2
-        alpha = HBAR * g**2 * n
-    except OverflowError:
-        alpha = math.inf
+    a = abs(c0)
+    n = a * a  # squares by products: a correctly rounded |c0|^2 on every libm
+    alpha = HBAR * (g * g) * n
     if not math.isfinite(alpha):
         raise ParameterError(f"pump_power too large: alpha = hbar*g^2*|c0|^2 is {alpha!r}")
-    try:
-        q0 = -HBAR * g * n / (params.mirror_mass * params.mirror_freq**2)
-    except OverflowError:
+    omega_m2 = params.mirror_freq * params.mirror_freq
+    if not math.isfinite(omega_m2):
         raise ParameterError(f"mirror_freq too large: mirror_freq**2 overflows, "
-                             f"got {params.mirror_freq!r}") from None
+                             f"got {params.mirror_freq!r}")
+    q0 = -HBAR * g * n / (params.mirror_mass * omega_m2)
     return SteadyState(
         cavity_amp=c0,
         photon_number=n,

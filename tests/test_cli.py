@@ -19,7 +19,6 @@ from hypothesis.extra.numpy import arrays
 import cavity_eit as ce
 from cavity_eit.cli import (
     DYNAMICS_HEADER,
-    FIGURE_IDS,
     FIGURE_RUNS,
     SPECTRUM_HEADER,
     SWEEP_HEADER,
@@ -512,6 +511,9 @@ OVERFLOWING_CONFIGS = {
     "int-past-digit-limit": ('{"pump_power": 1%s}' % ("0" * 5000), "JSON|pump_power"),
     "wavelength-photon-energy": ('{"wavelength": 1e308}', "wavelength"),  # hbar*omega_c underflows
     "wavelength-subnormal": ('{"wavelength": 1e290}', "wavelength"),  # 2*kappa*P/(hbar*omega_c) overflows
+    # hbar*g^2 is subnormal, g = 2*pi*c/(wavelength*cavity_length): the one message names both
+    "alpha-underflow-wavelength": ('{"wavelength": 1e170}', "^error: wavelength.*cavity_length"),
+    "alpha-underflow-cavity-length": ('{"cavity_length": 1e160}', "^error: wavelength.*cavity_length"),
     "width-divisor": ('{"cavity_decay": 1e-320}', "cavity_decay"),  # 4*m*omega_m*kappa underflows
 }
 
@@ -529,7 +531,7 @@ def test_overflowing_config_rejected(tmp_path, capsys, command, text, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["steady-state", "spectrum", "delay-sweep", "dynamics"])
+@pytest.mark.parametrize("command", ["steady-state", "spectrum", "delay-sweep", "width-sweep", "dynamics"])
 def test_overflowing_wavelength_rejected(tmp_path, capsys, command):
     # omega_c = 2*pi*c/wavelength is inf: the wavelength is refused, not the pump
     cfg = tmp_path / "cfg.json"
@@ -760,7 +762,7 @@ BUNDLE_SHA256 = {
 @pytest.fixture(scope="module")
 def bundles(tmp_path_factory):
     root = tmp_path_factory.mktemp("bundles")
-    for figure_id in FIGURE_IDS:
+    for figure_id in FIGURE_RUNS:
         emit_figure_bundle(figure_id, root / figure_id)
     return root
 

@@ -84,6 +84,8 @@ def test_drive_amplitude_sqrt_power_scaling(ref):
         ("wavelength", 0.0),
         ("wavelength", 1e308),  # hbar*omega_c, which derive divides by, underflows to 0
         ("wavelength", 1e290),  # hbar*omega_c is subnormal: derive's quotient overflows
+        ("wavelength", 1e170),  # hbar*g^2 is subnormal: alpha would lose its digits
+        ("cavity_length", 1e160),  # the same rule, reached through g = omega_c/cavity_length
         ("mirror_mass", -40e-12),
         ("mirror_freq", 0.0),
         ("mirror_damping", 0.0),

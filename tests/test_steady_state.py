@@ -1,6 +1,8 @@
 import dataclasses
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import cavity_eit as ce
@@ -20,6 +22,20 @@ def test_zero_pump_is_dark(ref):
 
 def test_photon_number_definition(steady_5uw):
     assert steady_5uw.photon_number == abs(steady_5uw.cavity_amp) ** 2
+
+
+def test_photon_number_is_correctly_rounded_square(ref):
+    # |c0|^2 is rounded once, exactly: libm's pow misrounds x**2 for about one
+    # double in a thousand (at 6.163593949155e-07 W among them, on glibc 2.36)
+    params, _ = ref
+    rng = np.random.default_rng(34)
+    pumps = [6.163593949155e-07, *(10.0 ** rng.uniform(-19.0, -2.0, 30_000)).tolist()]
+    misrounded = []
+    for power in pumps:
+        st = steady_at(params, power)
+        if st.photon_number != float(Fraction(abs(st.cavity_amp)) ** 2):  # int / int rounds once
+            misrounded.append(power)
+    assert misrounded == []
 
 
 def test_reference_photon_number(ref, steady_5uw):
@@ -90,7 +106,7 @@ def test_alpha_linear_in_power(ref, scale):
     "changes,power",
     [
         ({}, 1e299),  # the pump rate eps_c overflows to inf
-        # a narrow resonant cavity: |c0| is finite but the float power |c0|**2 raises
+        # a narrow resonant cavity: |c0| is finite but |c0|^2 overflows to inf
         ({"cavity_decay": 1e-3, "effective_detuning": 0.0}, 1e290),
     ],
 )
