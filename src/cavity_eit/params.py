@@ -50,6 +50,12 @@ class SystemParams:
     configuration sets it equal to mirror_freq) instead of being solved
     from a bare cavity frequency, which would require an ill-conditioned
     fixed-point iteration that nothing downstream needs.
+
+    Every scale formed from these fields alone must be a normal finite float64,
+    formed as the model forms it: hbar*omega_c (derive's divisor), hbar*g^2 with
+    g = omega_c/cavity_length (alpha's factor), m*omega_m^2 (q0's divisor),
+    4*m*omega_m*kappa (the width's divisor) and m*gamma_m*omega_m (|chi| at the
+    mechanical resonance).  The refusal names the scale's fields and its value.
     """
 
     cavity_length: float  # m
@@ -67,16 +73,6 @@ class SystemParams:
         _require_positive("mirror_freq", self.mirror_freq)
         _require_positive("mirror_damping", self.mirror_damping)
         _require_positive("cavity_decay", self.cavity_decay)
-        if not math.isfinite(self.coupling_freq):
-            raise ParameterError(f"wavelength too small: 2*pi*c/wavelength overflows, got {self.wavelength!r}")
-        if HBAR * self.coupling_freq < sys.float_info.min:  # derive divides by the photon energy
-            raise ParameterError("wavelength too large: hbar*2*pi*c/wavelength is subnormal, "
-                                 f"got {self.wavelength!r}")
-        g = self.coupling_freq / self.cavity_length
-        if HBAR * (g * g) < sys.float_info.min:  # alpha = hbar*g^2*|c0|^2 would lose its digits
-            raise ParameterError("wavelength*cavity_length too large: hbar*g^2 with g = 2*pi*c/"
-                                 f"(wavelength*cavity_length) is subnormal, got {self.wavelength!r}, "
-                                 f"{self.cavity_length!r}")
         if not math.isfinite(self.effective_detuning):
             raise ParameterError(
                 f"effective_detuning must be finite, got {self.effective_detuning!r}"
@@ -87,9 +83,16 @@ class SystemParams:
                 f"(underdamped oscillator), got {self.mirror_damping!r} >= "
                 f"{self.mirror_freq!r}"
             )
-        if 4.0 * self.mirror_mass * self.mirror_freq * self.cavity_decay == 0:  # the width's divisor in power_sweep
-            raise ParameterError("4*mirror_mass*mirror_freq*cavity_decay underflows to 0, got "
-                                 f"{self.mirror_mass!r}, {self.mirror_freq!r}, {self.cavity_decay!r}")
+        m, om, g = self.mirror_mass, self.mirror_freq, self.coupling_freq / self.cavity_length
+        for names, scale, value in (
+            ("wavelength", "hbar*omega_c", HBAR * self.coupling_freq),
+            ("wavelength, cavity_length", "hbar*g^2", HBAR * (g * g)),
+            ("mirror_freq, mirror_mass", "m*om^2", m * (om * om)),
+            ("cavity_decay, mirror_mass, mirror_freq", "4*m*om*kappa", 4.0 * m * om * self.cavity_decay),
+            ("mirror_damping, mirror_mass, mirror_freq", "m*gm*om", m * (self.mirror_damping * om)),
+        ):
+            if not sys.float_info.min <= value < math.inf:
+                raise ParameterError(f"{names} out of range: {scale} = {value!r} is not a normal float64")
 
     @property
     def quality_factor(self) -> float:

@@ -505,7 +505,7 @@ def test_out_of_range_input_rejected(tmp_path, capsys, argv):
 # each text is a whole config file; the second column matches the key the error must
 # name (json refuses an int past Python's digit limit, where it has one, itself)
 OVERFLOWING_CONFIGS = {
-    "mirror-freq": ('{"mirror_freq": 1e200}', "mirror_freq"),  # mirror_freq**2 overflows
+    "mirror-freq": ('{"mirror_freq": 1e200}', "mirror_freq"),  # m*om^2 overflows
     "int-401-digits": ('{"pump_power": 1%s}' % ("0" * 400), "pump_power"),
     "negative-int-hz": ('{"mirror_freq_hz": -1%s}' % ("0" * 400), "mirror_freq_hz"),
     "int-past-digit-limit": ('{"pump_power": 1%s}' % ("0" * 5000), "JSON|pump_power"),
@@ -515,6 +515,13 @@ OVERFLOWING_CONFIGS = {
     "alpha-underflow-wavelength": ('{"wavelength": 1e170}', "^error: wavelength.*cavity_length"),
     "alpha-underflow-cavity-length": ('{"cavity_length": 1e160}', "^error: wavelength.*cavity_length"),
     "width-divisor": ('{"cavity_decay": 1e-320}', "cavity_decay"),  # 4*m*omega_m*kappa underflows
+    # hbar*g^2 overflows, at any pump: the length is refused, not the pump
+    "g-squared-overflow": ('{"cavity_length": 1e-200}', "^error: wavelength, cavity_length"),
+    "g-squared-overflow-dark": ('{"cavity_length": 1e-200, "pump_power": 0}', "^error: wavelength, cavity_length"),
+    "width-divisor-subnormal": ('{"cavity_decay": 1e-316}', "^error: cavity_decay"),  # so is den at om
+    # m*gm*om, chi at the mechanical resonance, is subnormal; the other four scales pass
+    "chi-at-resonance": ('{"mirror_mass": 1e-290, "mirror_damping": 1e-30}', "^error: mirror_damping, mirror_mass"),
+    "q0-divisor-underflow": ('{"mirror_freq": 1e-160, "mirror_damping": 1e-161}', "^error: mirror_freq"),  # m*om^2
 }
 
 

@@ -90,7 +90,9 @@ def test_drive_amplitude_sqrt_power_scaling(ref):
         ("mirror_freq", 0.0),
         ("mirror_damping", 0.0),
         ("cavity_decay", -1.0),
+        ("cavity_length", 1e-200),  # hbar*g^2 overflows: refused by length, not by the pump
         ("cavity_decay", 1e-320),  # 4*m*omega_m*kappa, the width's divisor, underflows to 0
+        ("cavity_decay", 1e-316),  # the same divisor is subnormal, as is the response's den
         ("effective_detuning", math.inf),
     ],
 )
@@ -98,6 +100,21 @@ def test_system_validation_names_field(field, value):
     params, _ = ce.reference_defaults()
     with pytest.raises(ce.ParameterError, match=field):
         dataclasses.replace(params, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "changes,fields",
+    [
+        # m*gm*om, chi at the mechanical resonance, is subnormal; the other four scales pass
+        ({"mirror_mass": 1e-290, "mirror_damping": 1e-30}, "^mirror_damping, mirror_mass, mirror_freq"),
+        # m*om^2, the divisor of q0, underflows to 0
+        ({"mirror_freq": 1e-160, "mirror_damping": 1e-161}, "^mirror_freq, mirror_mass"),
+    ],
+)
+def test_system_validation_names_fields_of_a_scale(changes, fields):
+    params, _ = ce.reference_defaults()
+    with pytest.raises(ce.ParameterError, match=fields + " out of range: .* = .* is not a normal float64$"):
+        dataclasses.replace(params, **changes)
 
 
 def test_overdamped_mirror_rejected():

@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cavity_eit as ce
 from cavity_eit.params import HBAR
@@ -13,11 +16,11 @@ from conftest import steady_at
 
 def test_zero_pump_is_dark(ref):
     params, _ = ref
-    st = steady_at(params, 0.0)
-    assert st.cavity_amp == 0
-    assert st.photon_number == 0
-    assert st.mirror_displacement == 0
-    assert st.alpha == 0
+    dark = steady_at(params, 0.0)
+    assert dark.cavity_amp == 0
+    assert dark.photon_number == 0
+    assert dark.mirror_displacement == 0
+    assert dark.alpha == 0
 
 
 def test_photon_number_definition(steady_5uw):
@@ -32,8 +35,8 @@ def test_photon_number_is_correctly_rounded_square(ref):
     pumps = [6.163593949155e-07, *(10.0 ** rng.uniform(-19.0, -2.0, 30_000)).tolist()]
     misrounded = []
     for power in pumps:
-        st = steady_at(params, power)
-        if st.photon_number != float(Fraction(abs(st.cavity_amp)) ** 2):  # int / int rounds once
+        steady = steady_at(params, power)
+        if steady.photon_number != float(Fraction(abs(steady.cavity_amp)) ** 2):  # int / int rounds once
             misrounded.append(power)
     assert misrounded == []
 
@@ -114,3 +117,25 @@ def test_non_finite_alpha_rejected(ref, changes, power):
     params = dataclasses.replace(ref[0], **changes)
     with pytest.raises(ce.ParameterError, match="pump_power"):
         steady_at(params, power)
+
+
+@settings(deadline=None, max_examples=1000)
+@given(st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(ce.SystemParams)]),
+                       st.floats(-300.0, 300.0)))
+def test_working_point_is_refused_or_computed_across_the_float_range(exponents):
+    # each drawn field is scaled by 10**u: SystemParams refuses the set, or the steady
+    # state at 0 W and 1 uW is computed without a warning or refused by its pump rule
+    params, _ = ce.reference_defaults()
+    try:
+        params = dataclasses.replace(params, **{
+            name: getattr(params, name) * 10.0 ** u for name, u in exponents.items()
+        })
+    except ce.ParameterError:
+        return
+    for power in (0.0, 1e-6):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                ce.solve_steady(params, ce.derive(params, ce.DriveParams(power)))
+            except ce.ParameterError as exc:
+                assert str(exc).startswith("pump_power")
