@@ -20,11 +20,11 @@ from .params import (
 from .steady_state import SteadyState, solve_steady
 from .response import (
     AMPLITUDE_FLOOR,
+    InstabilityError,
     power_sweep,
     spectrum,
 )
 from .dynamics import (
-    InstabilityError,
     PulseSpec,
     SystemMatrix,
     Trajectory,

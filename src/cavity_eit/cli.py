@@ -1,7 +1,7 @@
 """Command-line front end: deterministic CSV/JSON artifacts from one config.
 
 Commands map one-to-one onto the library: ``steady-state``, ``spectrum``,
-``delay-sweep``, ``width-sweep``, ``dynamics``, plus ``figure`` which
+``delay-sweep``, ``dynamics``, plus ``figure`` which
 writes the data bundle underlying each published figure of the reference
 configuration: a fixed list of runs of those commands, a sidecar JSON of
 the record each run resolved, and a comparison report of computed vs
@@ -9,7 +9,8 @@ previously reported scalars.
 
 Floats are written in fixed 17-significant-digit scientific notation so
 CSV output round-trips doubles losslessly and is byte-stable across runs.
-Undefined delays are emitted as the literal ``NaN``.  The bytes are those
+Undefined delays are emitted as the literal ``NaN``, in a table of any
+length, one row included.  The bytes are those
 ``'%.16e' % v`` writes, but made a block of rows at a time by array
 arithmetic, with the same bytes on every machine: each float's decimal
 exponent is found exactly and its 17 digits are rounded once, and the pad
@@ -20,8 +21,9 @@ one block beyond the table's columns: a 10^6-point spectrum peaks at 208 MB
 of RSS, of which the spectrum computation, still O(grid), takes about 180 MB.
 
 Exit codes: 0 success, 1 validation error (message names the offending
-field), 2 numerical error (instability, undefined delay at a requested
-single point).
+field), 2 numerical error: the working point is unstable (every data command
+checks it after validating its input and before writing; a sweep checks its
+largest pump).
 """
 
 from __future__ import annotations
@@ -48,10 +50,9 @@ from .params import (
     reference_defaults,
 )
 from .steady_state import solve_steady
-from .response import power_sweep, spectrum
+from .response import InstabilityError, power_sweep, spectrum, stability
 from .dynamics import (
     PULSE_SHAPES,
-    InstabilityError,
     PulseSpec,
     build_matrix,
     integrate,
@@ -63,10 +64,6 @@ SPECTRUM_HEADER = (
 )
 SWEEP_HEADER = "power_w,tau_t_s,tau_r_s,gamma_rad_s"
 DYNAMICS_HEADER = "t_s,re_q_plus,im_q_plus,re_c_plus,im_c_plus,q_total_m"
-
-
-class UndefinedDelayError(ArithmeticError):
-    """The group delay at the single requested sweep point is undefined."""
 
 
 # The CSV float formatter.  A finite v != 0 is written as the 17 significant
@@ -268,6 +265,7 @@ def _run(args) -> dict:
 
 def _cmd_steady_state(args, params: SystemParams, drive: DriveParams) -> dict:
     st = solve_steady(params, derive(params, drive))
+    stability(params, st)
     doc = {
         "c0_re": st.cavity_amp.real,
         "c0_im": st.cavity_amp.imag,
@@ -299,6 +297,7 @@ def _cmd_spectrum(args, params: SystemParams, drive: DriveParams) -> dict:
     st = solve_steady(params, derive(params, drive))
     grid = _make_grid(args, params)
     table = spectrum(grid, params, st)
+    stability(params, st)
     columns = (table.delta, table.delta / params.mirror_freq, table.transmission, table.reflection,
                table.eps_t.real, table.eps_t.imag, table.phase_t, table.tau_t, table.tau_r)
     _emit(_csv(SPECTRUM_HEADER, *columns), args.out)
@@ -318,16 +317,11 @@ def _cmd_power_sweep(args, params: SystemParams, drive: DriveParams) -> dict:
     powers_uw = _powers_uw(args.powers_uw)
     delta = args.delta_over_omega_m * params.mirror_freq
     points = power_sweep([p * 1e-6 for p in powers_uw], delta, params)
-    if args.command == "delay-sweep" and len(points) == 1:
-        p = points[0]
-        if math.isnan(p.tau_t) or math.isnan(p.tau_r):
-            raise UndefinedDelayError(
-                "group delay undefined at the single requested point "
-                f"(power={p.power:.6e} W, delta={delta:.6e} rad/s)"
-            )
+    # the powers ascend, and at fixed Delta the verdict is monotone in alpha
+    stability(params, solve_steady(params, derive(params, DriveParams(points[-1].power))))
     columns = ([getattr(p, name) for p in points] for name in ("power", "tau_t", "tau_r", "gamma_width"))
     _emit(_csv(SWEEP_HEADER, *columns), args.out)
-    print(f"{args.command}: {len(points)} rows, tau_t range "
+    print(f"delay-sweep: {len(points)} rows, tau_t range "
           f"[{min(p.tau_t for p in points):.4e}, {max(p.tau_t for p in points):.4e}] s -> {args.out}",
           file=sys.stderr)
     return {
@@ -456,7 +450,7 @@ FIGURE_RUNS = {
         ("spectrum", ["--power-uw", "0"], "fig7_spectrum_0uw.csv"),
         ("spectrum", [], "fig7_spectrum_5uw.csv"),
     ],
-    "fig8": [("width-sweep", [], "fig8_width_sweep.csv")],
+    "fig8": [("delay-sweep", [], "fig8_width_sweep.csv")],
     "fig9": [("dynamics", _KICK, "fig9_dynamics.csv")],
     "fig10": [("dynamics", _KICK, "fig10_dynamics.csv")],
 }
@@ -537,20 +531,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-n", type=int, default=2001, help="number of grid points")
     p.set_defaults(func=_run, command_func=_cmd_spectrum)
 
-    for name in ("delay-sweep", "width-sweep"):
-        p = sub.add_parser(name, help="delays and transparency width vs pump power as CSV")
-        common(p, power=False)
-        p.add_argument(
-            "--powers-uw",
-            help="comma-separated pump powers in microwatts (default 20 points in 0.1..5)",
-        )
-        p.add_argument(
-            "--delta-over-omega-m",
-            type=float,
-            default=1.0,
-            help="probe detuning in units of mirror_freq",
-        )
-        p.set_defaults(func=_run, command_func=_cmd_power_sweep)
+    p = sub.add_parser("delay-sweep", help="delays and transparency width vs pump power as CSV")
+    common(p, power=False)
+    p.add_argument(
+        "--powers-uw",
+        help="comma-separated pump powers in microwatts (default 20 points in 0.1..5)",
+    )
+    p.add_argument(
+        "--delta-over-omega-m",
+        type=float,
+        default=1.0,
+        help="probe detuning in units of mirror_freq",
+    )
+    p.set_defaults(func=_run, command_func=_cmd_power_sweep)
 
     p = sub.add_parser("dynamics", help="pulsed-probe time evolution as CSV")
     common(p)
@@ -585,6 +578,6 @@ def main(argv=None) -> int:
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InstabilityError, UndefinedDelayError) as exc:
+    except InstabilityError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2

@@ -67,7 +67,7 @@ from typing import Callable
 import numpy as np
 
 from .params import HBAR, DerivedConstants, ParameterError, SystemParams
-from .response import _check_detuning
+from .response import InstabilityError, _check_detuning, stability
 from .steady_state import SteadyState
 
 PULSE_SHAPES = ("sech", "gaussian", "rectangle", "constant")
@@ -109,10 +109,6 @@ _INV_LN2 = 1.44269504088896338700e00
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 _EXP_Q = tuple(1 / math.factorial(k) for k in range(13, 1, -1))
-
-
-class InstabilityError(ArithmeticError):
-    """The sideband system matrix has a non-decaying eigenmode."""
 
 
 @dataclass(frozen=True)
@@ -244,10 +240,10 @@ def build_matrix(
     magnitude first: (a + d)/2 plus or minus sqrt(((a - d)/2)^2 + bc), with
     the sign that adds to (a + d)/2 and so does not cancel, then the other
     as (ad - bc) over it (Vieta).  An entry or eigenvalue that overflows
-    float64 raises ParameterError.  Both eigenvalues must have positive
-    real part; otherwise the linearized dynamics grow without bound
-    (parametric instability at high pump power) and InstabilityError is
-    raised.
+    float64 raises ParameterError.  The working point must pass the response's
+    stability gate, and both eigenvalues must have positive real part;
+    otherwise the linearized dynamics grow without bound (parametric
+    instability at high pump power) and InstabilityError is raised.
     """
     _check_detuning(delta, params)
     m = params.mirror_mass
@@ -276,6 +272,7 @@ def build_matrix(
         raise ParameterError(f"sideband matrix at delta={delta:.6e} rad/s overflows float64: "
                              f"entries {a:.3e}, {b:.3e}, {c:.3e}, {d:.3e}, "
                              f"eigenvalues {eig[0]:.3e}, {eig[1]:.3e}")
+    stability(params, steady)
     if eig[0].real <= 0 or eig[1].real <= 0:
         raise InstabilityError(
             "sideband matrix has a non-decaying eigenmode: eigenvalues "

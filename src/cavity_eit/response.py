@@ -17,7 +17,9 @@ else in this module is algebra on top of it:
 * group delay / advance  tau_X = Im[(d eps_X / d detuning) / eps_X],
   the exact quotient-rule derivative of the rational function
 * the weak-coupling transparency half-width  Gamma = gm/2 + alpha / (4*m*om*k),
-  affine in pump power, formed by power_sweep (see its validity note).
+  affine in pump power, formed by power_sweep (see its validity note)
+* the stability of the working point: ``stability`` refuses a pump at which
+  a pole of c_plus does not decay.
 
 Delays where the relevant amplitude magnitude falls below
 ``AMPLITUDE_FLOOR`` are reported as NaN rather than as a huge number:
@@ -26,8 +28,7 @@ resonance eps_R is genuinely zero, so no finite value would be honest.
 Where den is exactly zero eps_T and both delays are NaN, for a scalar
 detuning as for an array.  No threshold is set on den, whose units depend
 on the unit of time.  NaN propagates through tables and CSV output as a
-gap; command-line entry points translate it to a nonzero exit status when
-a single requested scalar is undefined.
+gap, at any table length; the command line writes it as ``NaN`` and exits 0.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ class SpectrumTable:
     tau_t: np.ndarray  # s, NaN gaps where undefined
     tau_r: np.ndarray  # s
     power: float  # W, pump power the steady state was solved at
+
+
+class InstabilityError(ArithmeticError):
+    """The linearised dynamics about the working point have a mode that does not decay."""
 
 
 class PowerPoint(NamedTuple):
@@ -127,6 +132,38 @@ def _response(delta: ArrayLike, params: SystemParams, alpha: ArrayLike):
         tau_t = np.imag(dnum / num - dlog_den)
         tau_r = np.imag(drnum / rnum - dlog_den)
     return eps_t, _mask_floor(tau_t, eps_t), _mask_floor(tau_r, eps_t - 1.0)
+
+
+def stability(params: SystemParams, steady: SteadyState) -> None:
+    """Raise InstabilityError unless every pole of the probe response decays.
+
+    The poles delta = i*s are the roots of den, and so of the quartic
+    (s^2 + a s + b)(s^2 + c s + d) - r with, in units of omega_m, a = gm,
+    b = 1, c = 4k, d = 4k^2 + D^2 and r = 2*D*alpha/m: the eigenvalues of the
+    linearised dynamics.  All have Re s < 0 iff (Routh-Hurwitz; Aspelmeyer,
+    Kippenberg & Marquardt, RMP 86, 1391 (2014))
+
+        r < b*d                                               (static)
+        a*c*[(b - d)^2 + (a + c)*(a*d + b*c)] + (a + c)^2 * r > 0   (oscillatory)
+
+    The static bound is den(0) < 0, tested on den(0) as _pieces forms it, so a
+    pump at which eps_T(0) is undefined is refused.  For D > 0 it is the one that
+    binds, at alpha* = m*om^2*(4k^2 + D^2)/(2*D); for D < 0 only the second can.
+    """
+    om = params.mirror_freq
+    with np.errstate(all="ignore"):  # an overflowing den(0) is -inf: static bound met
+        static = _pieces(0.0, params, steady.alpha)[2].real < 0
+    a = params.mirror_damping / om
+    x, y = 2.0 * params.cavity_decay / om, params.effective_detuning / om
+    c, d = 2.0 * x, x * x + y * y
+    r = 2.0 * y * (steady.alpha / (params.mirror_mass * (om * om))) / om
+    oscillatory = a * c * ((1.0 - d) * (1.0 - d) + (a + c) * (a * d + c)) + (a + c) * (a + c) * r > 0
+    if not (static and oscillatory):
+        raise InstabilityError(
+            "unstable working point: the linearised dynamics have a non-decaying eigenvalue "
+            f"(the {'oscillatory' if static else 'static'} Routh-Hurwitz bound fails "
+            f"at alpha = {steady.alpha:.6e})"
+        )
 
 
 def spectrum(

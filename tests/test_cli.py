@@ -221,8 +221,9 @@ def test_decade_table_is_exact():
 
 
 def test_width_sweep_affine_and_nan(tmp_path):
+    # the transparency width the sweep writes is affine in pump power
     out = tmp_path / "w.csv"
-    assert run("width-sweep", "--powers-uw", "0,1,2,3,4,5", "--out", str(out)) == 0
+    assert run("delay-sweep", "--powers-uw", "0,1,2,3,4,5", "--out", str(out)) == 0
     header, rows = read_csv(out)
     assert ",".join(header) == SWEEP_HEADER
     assert math.isnan(rows[0][2])  # reflected delay undefined at zero power
@@ -244,16 +245,18 @@ def test_delay_sweep_default_grid(tmp_path):
     assert taus == sorted(taus, reverse=True)
 
 
-def test_delay_sweep_single_undefined_point_exits_2(tmp_path):
-    # at zero power and resonance the reflected amplitude vanishes;
-    # a single-point request with an undefined delay is a numerical error
+def test_undefined_delay_is_nan_at_any_length(tmp_path):
+    # at zero power and resonance the reflected amplitude vanishes: a one-row
+    # sweep and a one-row spectrum write the undefined tau_R as NaN and exit 0
     out = tmp_path / "d.csv"
-    assert run("delay-sweep", "--powers-uw", "0", "--out", str(out)) == 2
-    assert not out.exists()
-    # width-sweep writes the same point, its undefined delay as NaN
-    assert run("width-sweep", "--powers-uw", "0", "--out", str(out)) == 0
+    assert run("delay-sweep", "--powers-uw", "0", "--out", str(out)) == 0
     _, rows = read_csv(out)
-    assert len(rows) == 1 and math.isnan(rows[0][2])
+    assert len(rows) == 1 and math.isnan(rows[0][2]) and rows[0][1] > 0
+    spec = tmp_path / "s.csv"
+    argv = ["--power-uw", "0", "--grid-min", "1", "--grid-max", "2", "--grid-n", "1"]
+    assert run("spectrum", *argv, "--out", str(spec)) == 0
+    _, rows = read_csv(spec)
+    assert len(rows) == 1 and rows[0][1] == 1.0 and math.isnan(rows[0][8])
 
 
 def degenerate_pump(params):
@@ -273,25 +276,26 @@ def degenerate_pump(params):
 
 
 def test_spectrum_with_no_defined_transmission(tmp_path, capsys):
-    # a one-row spectrum at the degenerate pump: its row is NaN, and the
-    # stderr note still names a (NaN) minimum instead of raising
+    # a one-row spectrum at the degenerate pump, where den(0) vanishes and its row
+    # would be NaN: a real pole at delta = 0 is the static stability bound itself,
+    # so the run is refused and writes nothing
     power = degenerate_pump(ce.reference_defaults()[0])
     assert power is not None
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"pump_power": power}))
     out = tmp_path / "s.csv"
     argv = ["--grid-min", "0", "--grid-max", "1", "--grid-n", "1", "--out", str(out)]
-    assert run("spectrum", "--config", str(cfg), *argv) == 0
-    _, rows = read_csv(out)
-    assert len(rows) == 1 and rows[0][0] == 0.0 and all(math.isnan(v) for v in rows[0][2:])
+    assert run("spectrum", "--config", str(cfg), *argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("spectrum: 1 rows, min T=nan") and err.count("\n") == 1
+    assert err.startswith("numerical error: unstable working point") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_delay_sweep_undefined_response_exit_2_message(tmp_path, capsys):
-    # a vanishing denominator makes eps_T and both delays NaN: the message says
-    # only that the delay is undefined, not why
-    power = degenerate_pump(ce.reference_defaults()[0])
+    # the degenerate pump as a sweep's one point at delta = 0: eps_T and both delays
+    # would be NaN, and the run is refused with the stability gate's one line
+    params = ce.reference_defaults()[0]
+    power = degenerate_pump(params)
     assert power is not None
     uw = power * 1e6
     assert uw * 1e-6 == power  # --powers-uw lands on the same double
@@ -299,10 +303,39 @@ def test_delay_sweep_undefined_response_exit_2_message(tmp_path, capsys):
     argv = ["--powers-uw", repr(uw), "--delta-over-omega-m", "0", "--out", str(out)]
     assert run("delay-sweep", *argv) == 2
     assert capsys.readouterr().err == (
-        "numerical error: group delay undefined at the single requested point "
-        "(power=1.378148e-04 W, delta=0.000000e+00 rad/s)\n"
+        "numerical error: unstable working point: the linearised dynamics have a non-decaying "
+        "eigenvalue (the static Routh-Hurwitz bound fails at "
+        f"alpha = {steady_at(params, power).alpha:.6e})\n"
     )
     assert not out.exists()
+
+
+UNSTABLE_RUNS = {
+    "steady-state": ["steady-state", "--power-uw", "2000"],
+    "spectrum": ["spectrum", "--power-uw", "2000"],
+    "delay-sweep": ["delay-sweep", "--powers-uw", "1,200"],  # its largest pump is past P*
+    "delay-sweep-threshold": ["delay-sweep", "--powers-uw", "1,137.82"],
+}
+
+
+@pytest.mark.parametrize("argv", UNSTABLE_RUNS.values(), ids=UNSTABLE_RUNS.keys())
+def test_unstable_working_point_exits_2(tmp_path, capsys, argv):
+    # past the static bound, P* = 137.8148 uW at delta = Delta = omega_m, every
+    # data command exits 2 with one line and writes nothing (dynamics: below)
+    out = tmp_path / "x.out"
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: unstable working point: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_stable_side_of_threshold_is_written(tmp_path):
+    # just below P* every data command still writes its output
+    for argv in (["steady-state", "--power-uw", "137.81"], ["spectrum", "--power-uw", "137.81"],
+                 ["delay-sweep", "--powers-uw", "1,137.81"], ["dynamics", "--power-uw", "137.81"]):
+        out = tmp_path / f"{argv[0]}.out"
+        assert run(*argv, "--out", str(out)) == 0
+        assert out.stat().st_size > 0
 
 
 def test_delay_sweep_single_defined_point_ok(tmp_path):
@@ -331,13 +364,13 @@ def test_config_file_and_flag_override(tmp_path):
     assert n2 == pytest.approx(4 * n1, rel=1e-13)
 
 
-@pytest.mark.parametrize("command", ["steady-state", "spectrum", "delay-sweep", "width-sweep", "dynamics"])
+@pytest.mark.parametrize("command", ["steady-state", "spectrum", "delay-sweep", "dynamics"])
 def test_record_params_are_config_then_power_flag(tmp_path, command):
     # the record's params are the config's, with --power-uw replacing its pump;
-    # the sweeps take no --power-uw and keep the config's pump
+    # the sweep takes no --power-uw and keeps the config's pump
     cfg = tmp_path / "p.json"
     cfg.write_text(json.dumps({"pump_power_uw": 1.0, "mirror_damping": 1.5}))
-    power = [] if command.endswith("-sweep") else ["--power-uw", "2"]
+    power = [] if command == "delay-sweep" else ["--power-uw", "2"]
     args = _build_parser().parse_args([command, "--config", str(cfg), *power, "--out", str(tmp_path / "out")])
     record = args.func(args)
     params, drive = load_params(cfg)
@@ -371,9 +404,13 @@ def test_validation_exit_code(tmp_path, capsys):
 
 
 def test_numerical_exit_code_for_instability(tmp_path, capsys):
-    # megawatt-scale pumping drives the sideband matrix unstable
-    assert run("dynamics", "--power-uw", "2000", "--out", str(tmp_path / "x.csv")) == 2
-    assert "eigenvalue" in capsys.readouterr().err
+    # a 2 mW pump is past the stability gate, which build_matrix applies first
+    out = tmp_path / "x.csv"
+    assert run("dynamics", "--power-uw", "2000", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: unstable working point: ") and err.count("\n") == 1
+    assert "eigenvalue" in err
+    assert not out.exists()
 
 
 def test_non_finite_sideband_matrix_refused(tmp_path, capsys):
@@ -448,7 +485,7 @@ def test_dynamics_rejects_non_finite_inputs(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
-@pytest.mark.parametrize("command", ["dynamics", "delay-sweep", "width-sweep"])
+@pytest.mark.parametrize("command", ["dynamics", "delay-sweep"])
 def test_non_finite_detuning_rejected(tmp_path, capsys, command, value):
     out = tmp_path / "x.csv"
     assert run(command, "--delta-over-omega-m", value, "--out", str(out)) == 1
@@ -525,7 +562,7 @@ OVERFLOWING_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("command", ["steady-state", "spectrum", "delay-sweep", "width-sweep", "dynamics"])
+@pytest.mark.parametrize("command", ["steady-state", "spectrum", "delay-sweep", "dynamics"])
 @pytest.mark.parametrize("text,key", OVERFLOWING_CONFIGS.values(), ids=OVERFLOWING_CONFIGS.keys())
 def test_overflowing_config_rejected(tmp_path, capsys, command, text, key):
     cfg = tmp_path / "cfg.json"
@@ -538,7 +575,7 @@ def test_overflowing_config_rejected(tmp_path, capsys, command, text, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["steady-state", "spectrum", "delay-sweep", "width-sweep", "dynamics"])
+@pytest.mark.parametrize("command", ["steady-state", "spectrum", "delay-sweep", "dynamics"])
 def test_overflowing_wavelength_rejected(tmp_path, capsys, command):
     # omega_c = 2*pi*c/wavelength is inf: the wavelength is refused, not the pump
     cfg = tmp_path / "cfg.json"
@@ -616,10 +653,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run() == 1
     assert run("--help") == 0
     assert run("spectrum", "--grid-n", "0") == 1
-    # the sweeps take their powers from --powers-uw alone, so --power-uw is no flag of theirs
-    for command in ("delay-sweep", "width-sweep"):
-        assert run(command, "--power-uw", "1e305", "--out", str(tmp_path / "x.csv")) == 1
-        assert "unrecognized arguments: --power-uw" in capsys.readouterr().err
+    # delay-sweep is the one sweep command
+    assert run("width-sweep", "--out", str(tmp_path / "x.csv")) == 1
+    assert "invalid choice: 'width-sweep'" in capsys.readouterr().err
+    # the sweep takes its powers from --powers-uw alone, so --power-uw is no flag of it
+    assert run("delay-sweep", "--power-uw", "1e305", "--out", str(tmp_path / "x.csv")) == 1
+    assert "unrecognized arguments: --power-uw" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
     # the exponential step is the one rule, so the step rule is no flag of dynamics
     assert run("dynamics", "--method", "rk4", "--out", str(tmp_path / "x.csv")) == 1
@@ -755,7 +794,7 @@ BUNDLE_SHA256 = {
     "fig7/fig7_spectrum_0uw.csv": "857760f4d299b84657fd6295f6226fdc4b69cf41f814eb2f3350a6d0ff0d000b",
     "fig7/fig7_spectrum_5uw.csv": "28e02f850e6b74f746936782126ae4b2d2097414554bfd2aeea6d31a0ceba67c",
     "fig8/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
-    "fig8/fig8_config.json": "7cb9dbe8669f3c7a67fdd5283e9b1ecd0b86c574c38a58942e2580716839fd01",
+    "fig8/fig8_config.json": "de39033f8121bf48922b6c676b4861cfdc938e780baf6f517af03f4bec52090c",
     "fig8/fig8_width_sweep.csv": "7a124f7aaecf94f45ae77561464240ef887148e392327be5135cdb46aaff013a",
     "fig9/comparison_report.json": "7d98ecca3773f350a015d7937926f4295281d45f8e081b3b5d4c9023fbf0f5cc",
     "fig9/fig9_config.json": "3e2364b11dbaa931420dd83adb3f3c57469c5e5099485639687956c3b4b1b9f9",
@@ -881,7 +920,7 @@ def _replay_flags(run_cfg):
         grid = run_cfg["grid"]
         return ["--grid-min", repr(grid["min"]), "--grid-max", repr(grid["max"]),
                 "--grid-n", str(grid["n"])]
-    if command in ("delay-sweep", "width-sweep"):
+    if command == "delay-sweep":
         return ["--powers-uw", ",".join(map(repr, run_cfg["powers_uw"])),
                 "--delta-over-omega-m", repr(run_cfg["delta_over_omega_m"])]
     assert command == "dynamics"

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cavity_eit as ce
@@ -193,7 +193,7 @@ def test_conjugation_symmetry_over_parameters(point, x):
 def test_scalar_amplitude_matches_spectrum_over_parameters(point, xs):
     params, power = point
     steady = steady_at(params, power)
-    grid = np.sort(xs) * params.mirror_freq
+    grid = np.unique(np.multiply(xs, params.mirror_freq))  # two x may round to one delta
     table = ce.spectrum(grid, params, steady)
     for d, eps in zip(grid, table.eps_t):
         scalar = transmitted(float(d), params, steady)
@@ -218,6 +218,63 @@ def test_degenerate_point_is_nan_on_every_path(point):
     with mock.patch.object(response, "solve_steady", return_value=crafted):
         (pt,) = ce.power_sweep([0.0], 0.0, params)
     assert math.isnan(pt.tau_t) and math.isnan(pt.tau_r)
+    # den(0) = 0 is a pole on the real axis, at delta = 0: the static bound refuses it
+    with pytest.raises(ce.InstabilityError, match="static"):
+        response.stability(params, crafted)
+
+
+# --- stability of the working point -------------------------------------------
+
+
+def with_alpha(alpha):
+    """A steady state that carries only alpha, all response.stability reads."""
+    return ce.SteadyState(cavity_amp=0j, photon_number=0.0, mirror_displacement=0.0, alpha=alpha)
+
+
+def decays(params, alpha):
+    """The stability gate's verdict at interaction strength alpha."""
+    try:
+        response.stability(params, with_alpha(alpha))
+    except ce.InstabilityError:
+        return False
+    return True
+
+
+def slowest_root(params, alpha):
+    """The largest Re s over the roots of (s^2 + gm s + om^2)(s^2 + 4k s + 4k^2 + D^2) - 2 D alpha/m.
+
+    In units of omega_m, by np.roots: the test oracle of response.stability.
+    """
+    om, det = params.mirror_freq, params.effective_detuning
+    k, y = params.cavity_decay / om, det / om
+    quartic = np.polymul([1.0, params.mirror_damping / om, 1.0], [1.0, 4.0 * k, 4.0 * k * k + y * y])
+    quartic[-1] -= 2.0 * det * alpha / (params.mirror_mass * om**4)
+    return np.roots(quartic).real.max()
+
+
+@settings(deadline=None)
+@given(near_reference(), st.floats(0.01, 3.0))
+def test_stability_flips_at_static_bound(point, x):
+    # for Delta > 0 the verdict flips at alpha* = m om^2 (4 k^2 + Delta^2) / (2 Delta)
+    params, _ = point
+    params = dataclasses.replace(params, effective_detuning=x * params.mirror_freq)
+    m, om, k, det = params.mirror_mass, params.mirror_freq, params.cavity_decay, params.effective_detuning
+    alpha_star = m * om * om * (4.0 * k * k + det * det) / (2.0 * det)
+    assert decays(params, 0.0) and decays(params, alpha_star * (1.0 - 1e-9))
+    assert not decays(params, alpha_star * (1.0 + 1e-9))
+    assert not decays(params, 1e3 * alpha_star)
+
+
+@settings(deadline=None)
+@given(near_reference(), st.floats(-3.0, -0.01), st.floats(-16.0, -6.0))
+def test_stability_matches_quartic_roots_below_resonance(point, x, log_power):
+    # for Delta < 0 only the oscillatory bound can fail, near 50 pW at Delta = -omega_m
+    params, _ = point
+    params = dataclasses.replace(params, effective_detuning=x * params.mirror_freq)
+    alpha = steady_at(params, 10.0**log_power).alpha
+    top = slowest_root(params, alpha)
+    assume(abs(top) > 1e-9)  # np.roots' sign is sure
+    assert decays(params, alpha) == (top < 0)
 
 
 @pytest.mark.parametrize("s", [1e-79, 1e-3, 1e3])
