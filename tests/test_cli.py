@@ -364,14 +364,27 @@ def test_config_file_and_flag_override(tmp_path):
     assert n2 == pytest.approx(4 * n1, rel=1e-13)
 
 
-@pytest.mark.parametrize("command", ["steady-state", "spectrum", "delay-sweep", "dynamics"])
+def command_argv(command):
+    # "width-sweep" is the run that writes fig8's width sweep: delay-sweep with
+    # fig8's flags, kept as its own case so the width sweep's refusals stay pinned
+    if command == "width-sweep":
+        ((name, flags, _),) = FIGURE_RUNS["fig8"]
+        return [name, *flags]
+    return [command]
+
+
+COMMANDS = ["steady-state", "spectrum", "delay-sweep", "width-sweep", "dynamics"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_record_params_are_config_then_power_flag(tmp_path, command):
     # the record's params are the config's, with --power-uw replacing its pump;
     # the sweep takes no --power-uw and keeps the config's pump
     cfg = tmp_path / "p.json"
     cfg.write_text(json.dumps({"pump_power_uw": 1.0, "mirror_damping": 1.5}))
-    power = [] if command == "delay-sweep" else ["--power-uw", "2"]
-    args = _build_parser().parse_args([command, "--config", str(cfg), *power, "--out", str(tmp_path / "out")])
+    power = [] if command.endswith("-sweep") else ["--power-uw", "2"]
+    argv = [*command_argv(command), "--config", str(cfg), *power, "--out", str(tmp_path / "out")]
+    args = _build_parser().parse_args(argv)
     record = args.func(args)
     params, drive = load_params(cfg)
     if power:
@@ -485,10 +498,10 @@ def test_dynamics_rejects_non_finite_inputs(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
-@pytest.mark.parametrize("command", ["dynamics", "delay-sweep"])
+@pytest.mark.parametrize("command", ["dynamics", "delay-sweep", "width-sweep"])
 def test_non_finite_detuning_rejected(tmp_path, capsys, command, value):
     out = tmp_path / "x.csv"
-    assert run(command, "--delta-over-omega-m", value, "--out", str(out)) == 1
+    assert run(*command_argv(command), "--delta-over-omega-m", value, "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: probe detuning must be finite")
     assert err.count("\n") == 1
@@ -562,26 +575,26 @@ OVERFLOWING_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("command", ["steady-state", "spectrum", "delay-sweep", "dynamics"])
+@pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("text,key", OVERFLOWING_CONFIGS.values(), ids=OVERFLOWING_CONFIGS.keys())
 def test_overflowing_config_rejected(tmp_path, capsys, command, text, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     out = tmp_path / "x.csv"
-    assert run(command, "--config", str(cfg), "--out", str(out)) == 1
+    assert run(*command_argv(command), "--config", str(cfg), "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and re.search(key, err)
     assert err.count("\n") == 1
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["steady-state", "spectrum", "delay-sweep", "dynamics"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_overflowing_wavelength_rejected(tmp_path, capsys, command):
     # omega_c = 2*pi*c/wavelength is inf: the wavelength is refused, not the pump
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"wavelength": 1e-310}')
     out = tmp_path / "x.csv"
-    assert run(command, "--config", str(cfg), "--out", str(out)) == 1
+    assert run(*command_argv(command), "--config", str(cfg), "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: wavelength")
     assert err.count("\n") == 1
