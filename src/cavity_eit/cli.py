@@ -21,9 +21,11 @@ one block beyond the table's columns: a 10^6-point spectrum peaks at 208 MB
 of RSS, of which the spectrum computation, still O(grid), takes about 180 MB.
 
 Exit codes: 0 success, 1 validation error (message names the offending
-field), 2 numerical error: the working point is unstable (every data command
-checks it after validating its input and before writing; a sweep checks its
-largest pump).
+field), 2 numerical error: the working point is unstable (checked before
+writing; a sweep checks its largest pump).  ``steady-state``, ``spectrum``
+and ``delay-sweep`` check it after validating all their input; ``dynamics``
+checks it in ``build_matrix``, after the detuning and before its pulse, step
+and sample flags, so an unstable pump with a bad ``--dt`` exits 2.
 """
 
 from __future__ import annotations

@@ -66,7 +66,7 @@ from typing import Callable
 
 import numpy as np
 
-from .params import HBAR, DerivedConstants, ParameterError, SystemParams
+from .params import HBAR, DerivedConstants, ParameterError, SystemParams, _require
 from .response import InstabilityError, _check_detuning, stability
 from .steady_state import SteadyState
 
@@ -155,16 +155,9 @@ class PulseSpec:
             raise ParameterError(
                 f"pulse shape must be one of {PULSE_SHAPES}, got {self.shape!r}"
             )
-        if not (0 < self.width < math.inf):
-            raise ParameterError(
-                f"pulse width must be positive and finite, got {self.width!r}"
-            )
-        if not (0 <= self.amplitude < math.inf):
-            raise ParameterError(
-                f"pulse amplitude must be non-negative and finite, got {self.amplitude!r}"
-            )
-        if not math.isfinite(self.center):
-            raise ParameterError(f"pulse center must be finite, got {self.center!r}")
+        _require("pulse width", self.width, "positive")
+        _require("pulse amplitude", self.amplitude, "non-negative")
+        _require("pulse center", self.center)
 
     def envelope(self, t: float | np.ndarray) -> float | np.ndarray:
         """Probe drive at time t (1/s): a float for a float, an array for a float64 array."""
@@ -508,8 +501,7 @@ def integrate(
         raise ParameterError(f"t_span must be finite, got {t_span!r}")
     if not (t1 > t0):
         raise ParameterError(f"t_span must satisfy t_end > t_start, got {t_span!r}")
-    if not (0 < dt < math.inf):
-        raise ParameterError(f"dt must be positive and finite, got {dt!r}")
+    _require("dt", dt, "positive")
     if method not in (METHOD_RK4, METHOD_EXPM):
         raise ParameterError(f"unknown integration method {method!r}")
     try:

@@ -36,9 +36,11 @@ class ParameterError(ValueError):
     """A physical input failed validation; the message names the field."""
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (value > 0) or not math.isfinite(value):
-        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+def _require(name: str, value: float, sign: str = "") -> None:
+    """Refuse a value that is not finite, or not of ``sign``: "positive", "non-negative" or ""."""
+    signed = value > 0 if sign == "positive" else value >= 0 if sign else True
+    if not signed or not math.isfinite(value):
+        raise ParameterError(f"{name} must be {sign + ' and ' if sign else ''}finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,16 +69,13 @@ class SystemParams:
     effective_detuning: float  # rad/s, may be any real value
 
     def __post_init__(self) -> None:
-        _require_positive("cavity_length", self.cavity_length)
-        _require_positive("wavelength", self.wavelength)
-        _require_positive("mirror_mass", self.mirror_mass)
-        _require_positive("mirror_freq", self.mirror_freq)
-        _require_positive("mirror_damping", self.mirror_damping)
-        _require_positive("cavity_decay", self.cavity_decay)
-        if not math.isfinite(self.effective_detuning):
-            raise ParameterError(
-                f"effective_detuning must be finite, got {self.effective_detuning!r}"
-            )
+        _require("cavity_length", self.cavity_length, "positive")
+        _require("wavelength", self.wavelength, "positive")
+        _require("mirror_mass", self.mirror_mass, "positive")
+        _require("mirror_freq", self.mirror_freq, "positive")
+        _require("mirror_damping", self.mirror_damping, "positive")
+        _require("cavity_decay", self.cavity_decay, "positive")
+        _require("effective_detuning", self.effective_detuning)
         if self.mirror_damping >= self.mirror_freq:
             raise ParameterError(
                 "mirror_damping must be smaller than mirror_freq "
@@ -115,10 +114,7 @@ class DriveParams:
     pump_power: float  # W
 
     def __post_init__(self) -> None:
-        if not (self.pump_power >= 0) or not math.isfinite(self.pump_power):
-            raise ParameterError(
-                f"pump_power must be non-negative and finite, got {self.pump_power!r}"
-            )
+        _require("pump_power", self.pump_power, "non-negative")
 
 
 @dataclass(frozen=True)

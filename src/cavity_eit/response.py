@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .params import DriveParams, ParameterError, SystemParams, derive
+from .params import DriveParams, ParameterError, SystemParams, _require, derive
 from .steady_state import SteadyState, solve_steady
 
 ArrayLike = Union[float, np.ndarray]
@@ -99,8 +99,7 @@ def _pieces(delta: ArrayLike, params: SystemParams, alpha: ArrayLike):
 def _check_detuning(delta: ArrayLike, params: SystemParams) -> None:
     """Refuse max|delta| >= omega_c: the lower sideband omega_c - |delta| is not a light field."""
     worst = float(np.max(np.abs(delta), initial=0.0))  # an empty array passes; NaN if any is NaN
-    if not math.isfinite(worst):
-        raise ParameterError(f"probe detuning must be finite, got {worst!r}")
+    _require("probe detuning", worst)
     omega_c = params.coupling_freq
     if worst >= omega_c:  # m*delta^4 in den overflows from about 4.6e79 rad/s
         raise ParameterError(f"probe detuning must be below omega_c = {omega_c!r} rad/s "

@@ -245,6 +245,16 @@ def test_delay_sweep_default_grid(tmp_path):
     assert taus == sorted(taus, reverse=True)
 
 
+def test_pump_switches_transmission_between_delay_and_advance(tmp_path):
+    # at delta = omega_m the pump turns the transmitted delay into an advance near
+    # 1.08e-16 W and back into a delay near 2.44 nW; tau_R changes sign at the first
+    out = tmp_path / "d.csv"
+    assert run("delay-sweep", "--powers-uw", "1e-10,1.2e-10,2.4e-3,2.5e-3", "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    assert np.sign([r[1] for r in rows]).tolist() == [1.0, -1.0, -1.0, 1.0]
+    assert np.sign([r[2] for r in rows[:2]]).tolist() == [-1.0, 1.0]
+
+
 def test_undefined_delay_is_nan_at_any_length(tmp_path):
     # at zero power and resonance the reflected amplitude vanishes: a one-row
     # sweep and a one-row spectrum write the undefined tau_R as NaN and exit 0
@@ -326,6 +336,17 @@ def test_unstable_working_point_exits_2(tmp_path, capsys, argv):
     assert run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical error: unstable working point: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_dynamics_gates_before_its_pulse_and_step_flags(tmp_path, capsys):
+    # dynamics applies the gate inside build_matrix, before its pulse, step and sample
+    # flags are checked; every other data command validates all of its input first
+    out = tmp_path / "x.csv"
+    assert run("dynamics", "--power-uw", "2000", "--dt", "-1", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("numerical error: unstable working point: ")
+    assert run("spectrum", "--power-uw", "2000", "--grid-n", "0", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: --grid-n must be >= 1, got 0\n"
     assert not out.exists()
 
 
@@ -621,6 +642,44 @@ def test_non_finite_input_names_its_rule(tmp_path, capsys, argv, message):
     assert run(*argv, "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# every input refused by "must be [positive and |non-negative and ]finite": its label in
+# the error line, its sign rule, and the command and flag or config key that sets it
+SIGNED_INPUTS = {
+    **{field: (field, "positive", ["steady-state"], field) for field in (
+        "cavity_length", "wavelength", "mirror_mass", "mirror_freq", "mirror_damping", "cavity_decay")},
+    "effective_detuning": ("effective_detuning", "", ["steady-state"], "effective_detuning"),
+    "pump_power": ("pump_power", "non-negative", ["steady-state"], "pump_power"),
+    "pulse-width": ("pulse width", "positive", ["dynamics", "--samples", "5"], "--pulse-width-s"),
+    "pulse-amp": ("pulse amplitude", "non-negative", ["dynamics", "--samples", "5"], "--pulse-amp"),
+    "pulse-center": ("pulse center", "", ["dynamics", "--samples", "5"], "--pulse-center-s"),
+    "dt": ("dt", "positive", ["dynamics", "--samples", "5"], "--dt"),
+    "probe-detuning": ("probe detuning", "", ["delay-sweep", "--powers-uw", "1"], "--delta-over-omega-m"),
+}
+SIGN_CASES = [(key, value) for key, (_, sign, _, _) in SIGNED_INPUTS.items()
+              for value in (math.nan, math.inf, -math.inf, *((0.0, -0.0, -1.0) if sign else ()))]
+
+
+@pytest.mark.parametrize("key,value", SIGN_CASES, ids=[f"{k}={v!r}" for k, v in SIGN_CASES])
+def test_sign_and_finiteness_rule_writes_its_whole_line(tmp_path, capsys, key, value):
+    label, sign, argv, setting = SIGNED_INPUTS[key]
+    if setting.startswith("--"):
+        argv = [*argv, f"{setting}={value!r}"]
+    else:  # JSON's NaN and Infinity literals load as floats
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({setting: value}))
+        argv = [*argv, "--config", str(cfg)]
+    out = tmp_path / "x.out"
+    code = run(*argv, "--out", str(out))
+    err = capsys.readouterr().err
+    if sign == "non-negative" and value == 0.0:  # -0.0 == 0.0 passes too
+        assert code == 0 and out.exists()
+        return
+    shown = abs(value) if label == "probe detuning" else value  # the largest |delta| is refused
+    assert code == 1
+    assert err == f"error: {label} must be {sign + ' and ' if sign else ''}finite, got {shown!r}\n"
     assert not out.exists()
 
 

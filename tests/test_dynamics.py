@@ -136,6 +136,27 @@ def test_instability_threshold_is_where_response_poles_cross(ref):
         build(1.02 * lo)
 
 
+@settings(deadline=None)
+@given(near_reference(), st.floats(-2.0, 0.0),
+       st.lists(st.floats(-3.0, 3.0, exclude_min=True, exclude_max=True), min_size=1, max_size=10))
+def test_refused_pump_is_refused_by_the_gate_at_every_detuning(point, log_power, xs):
+    # past the gate build_matrix raises the gate's error wherever the probe sits,
+    # never the 2x2 model's own "non-decaying eigenmode": the verdict has no delta in it
+    params, _ = point
+    power = 10.0**log_power
+    steady = steady_at(params, power)
+    try:
+        stability(params, steady)
+    except ce.InstabilityError:
+        pass
+    else:
+        reject()
+    der = ce.derive(params, ce.DriveParams(pump_power=power))
+    for x in xs:
+        with pytest.raises(ce.InstabilityError, match="^unstable working point: "):
+            ce.build_matrix(x * params.mirror_freq, params, der, steady)
+
+
 @pytest.mark.xfail(strict=True, raises=ce.InstabilityError, reason="ROADMAP item 2")
 def test_matrix_accepts_working_points_whose_poles_decay(ref):
     # at 5 uW every pole of the response decays (the slowest at 6.4e4 1/s), yet

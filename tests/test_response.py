@@ -177,6 +177,23 @@ def test_degenerate_denominator_is_one_rule(ref):
 
 @settings(deadline=None)
 @given(near_reference(), st.floats(-3.0, 3.0))
+def test_reflected_amplitude_is_transmitted_minus_one(point, x):
+    # tau_R is the log-derivative of (2k*num - den)/den, formed from _pieces without
+    # dividing first; at a stable working point that quotient is eps_T - 1.  Both sides
+    # round the same num and den through one product, one quotient and one subtraction,
+    # so they differ by a few ulps of 1 + |eps_T| (20,000 draws gave at most 1.5)
+    params, power = point
+    steady = steady_at(params, power)
+    assume(decays(params, steady.alpha))
+    d = x * params.mirror_freq
+    num, _, den, _ = response._pieces(d, params, steady.alpha)
+    eps_r = complex((2.0 * params.cavity_decay * num - den) / den)
+    eps_t = transmitted(d, params, steady)
+    assert abs(eps_r - (eps_t - 1.0)) <= 4.0 * 2.0**-52 * (1.0 + abs(eps_t))
+
+
+@settings(deadline=None)
+@given(near_reference(), st.floats(-3.0, 3.0))
 def test_conjugation_symmetry_over_parameters(point, x):
     # eps_T(-delta; -Delta, -alpha) = conj eps_T(delta; Delta, alpha)
     params, power = point
