@@ -21,11 +21,12 @@ one block beyond the table's columns: a 10^6-point spectrum peaks at 208 MB
 of RSS, of which the spectrum computation, still O(grid), takes about 180 MB.
 
 Exit codes: 0 success, 1 validation error (message names the offending
-field), 2 numerical error: the working point is unstable (checked before
-writing; a sweep checks its largest pump).  ``steady-state``, ``spectrum``
-and ``delay-sweep`` check it after validating all their input; ``dynamics``
-checks it in ``build_matrix``, after the detuning and before its pulse, step
-and sample flags, so an unstable pump with a bad ``--dt`` exits 2.
+field), 2 numerical error: ``stability(params, alpha)`` finds the working point
+unstable (checked before writing; a sweep gates the alpha it solved at its
+largest pump).  ``steady-state``, ``spectrum`` and ``delay-sweep`` check it
+after validating all their input; ``dynamics`` checks it in ``build_matrix``,
+after the detuning and before its pulse, step and sample flags, so an unstable
+pump with a bad ``--dt`` exits 2.
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ def _run(args) -> dict:
 
 def _cmd_steady_state(args, params: SystemParams, drive: DriveParams) -> dict:
     st = solve_steady(params, derive(params, drive))
-    stability(params, st)
+    stability(params, st.alpha)
     doc = {
         "c0_re": st.cavity_amp.real,
         "c0_im": st.cavity_amp.imag,
@@ -299,7 +300,7 @@ def _cmd_spectrum(args, params: SystemParams, drive: DriveParams) -> dict:
     st = solve_steady(params, derive(params, drive))
     grid = _make_grid(args, params)
     table = spectrum(grid, params, st)
-    stability(params, st)
+    stability(params, st.alpha)
     columns = (table.delta, table.delta / params.mirror_freq, table.transmission, table.reflection,
                table.eps_t.real, table.eps_t.imag, table.phase_t, table.tau_t, table.tau_r)
     _emit(_csv(SPECTRUM_HEADER, *columns), args.out)
@@ -320,7 +321,7 @@ def _cmd_power_sweep(args, params: SystemParams, drive: DriveParams) -> dict:
     delta = args.delta_over_omega_m * params.mirror_freq
     points = power_sweep([p * 1e-6 for p in powers_uw], delta, params)
     # the powers ascend, and at fixed Delta the verdict is monotone in alpha
-    stability(params, solve_steady(params, derive(params, DriveParams(points[-1].power))))
+    stability(params, points[-1].alpha)
     columns = ([getattr(p, name) for p in points] for name in ("power", "tau_t", "tau_r", "gamma_width"))
     _emit(_csv(SWEEP_HEADER, *columns), args.out)
     print(f"delay-sweep: {len(points)} rows, tau_t range "

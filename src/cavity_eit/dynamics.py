@@ -265,7 +265,7 @@ def build_matrix(
         raise ParameterError(f"sideband matrix at delta={delta:.6e} rad/s overflows float64: "
                              f"entries {a:.3e}, {b:.3e}, {c:.3e}, {d:.3e}, "
                              f"eigenvalues {eig[0]:.3e}, {eig[1]:.3e}")
-    stability(params, steady)
+    stability(params, steady.alpha)
     if eig[0].real <= 0 or eig[1].real <= 0:
         raise InstabilityError(
             "sideband matrix has a non-decaying eigenmode: eigenvalues "

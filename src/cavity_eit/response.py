@@ -18,8 +18,9 @@ else in this module is algebra on top of it:
   the exact quotient-rule derivative of the rational function
 * the weak-coupling transparency half-width  Gamma = gm/2 + alpha / (4*m*om*k),
   affine in pump power, formed by power_sweep (see its validity note)
-* the stability of the working point: ``stability`` refuses a pump at which
-  a pole of c_plus does not decay.
+* the stability of the working point: ``stability(params, alpha)`` refuses an
+  interaction strength at which a pole of c_plus does not decay; a sweep gates
+  the alpha it solved at its largest pump.
 
 Delays where the relevant amplitude magnitude falls below
 ``AMPLITUDE_FLOOR`` are reported as NaN rather than as a huge number:
@@ -72,6 +73,7 @@ class PowerPoint(NamedTuple):
     tau_r: float  # s
     gamma_width: float  # rad/s
     transmission: float  # |eps_T|^2
+    alpha: float  # kg rad^3/s^3, the steady state's interaction strength at this pump
 
 
 def _pieces(delta: ArrayLike, params: SystemParams, alpha: ArrayLike):
@@ -133,14 +135,15 @@ def _response(delta: ArrayLike, params: SystemParams, alpha: ArrayLike):
     return eps_t, _mask_floor(tau_t, eps_t), _mask_floor(tau_r, eps_t - 1.0)
 
 
-def stability(params: SystemParams, steady: SteadyState) -> None:
-    """Raise InstabilityError unless every pole of the probe response decays.
+def stability(params: SystemParams, alpha: float) -> None:
+    """Raise InstabilityError unless every pole of the probe response decays at alpha.
 
-    The poles delta = i*s are the roots of den, and so of the quartic
-    (s^2 + a s + b)(s^2 + c s + d) - r with, in units of omega_m, a = gm,
-    b = 1, c = 4k, d = 4k^2 + D^2 and r = 2*D*alpha/m: the eigenvalues of the
-    linearised dynamics.  All have Re s < 0 iff (Routh-Hurwitz; Aspelmeyer,
-    Kippenberg & Marquardt, RMP 86, 1391 (2014))
+    The working point enters only through alpha = hbar*g^2*|c0|^2.  The poles
+    delta = i*s are the roots of den, and so of the quartic (s^2 + a s + b) *
+    (s^2 + c s + d) - r with, in units of omega_m, a = gm, b = 1, c = 4k,
+    d = 4k^2 + D^2 and r = 2*D*alpha/m: the eigenvalues of the linearised
+    dynamics.  All have Re s < 0 iff (Routh-Hurwitz; Aspelmeyer, Kippenberg &
+    Marquardt, RMP 86, 1391 (2014))
 
         r < b*d                                               (static)
         a*c*[(b - d)^2 + (a + c)*(a*d + b*c)] + (a + c)^2 * r > 0   (oscillatory)
@@ -151,17 +154,17 @@ def stability(params: SystemParams, steady: SteadyState) -> None:
     """
     om = params.mirror_freq
     with np.errstate(all="ignore"):  # an overflowing den(0) is -inf: static bound met
-        static = _pieces(0.0, params, steady.alpha)[2].real < 0
+        static = _pieces(0.0, params, alpha)[2].real < 0
     a = params.mirror_damping / om
     x, y = 2.0 * params.cavity_decay / om, params.effective_detuning / om
     c, d = 2.0 * x, x * x + y * y
-    r = 2.0 * y * (steady.alpha / (params.mirror_mass * (om * om))) / om
+    r = 2.0 * y * (alpha / (params.mirror_mass * (om * om))) / om
     oscillatory = a * c * ((1.0 - d) * (1.0 - d) + (a + c) * (a * d + c)) + (a + c) * (a + c) * r > 0
     if not (static and oscillatory):
         raise InstabilityError(
             "unstable working point: the linearised dynamics have a non-decaying eigenvalue "
             f"(the {'oscillatory' if static else 'static'} Routh-Hurwitz bound fails "
-            f"at alpha = {steady.alpha:.6e})"
+            f"at alpha = {alpha:.6e})"
         )
 
 
@@ -200,7 +203,7 @@ def power_sweep(
     delta: float,
     params: SystemParams,
 ) -> list[PowerPoint]:
-    """Delays, transparency width and |eps_T|^2 at one detuning across pump powers.
+    """Delays, transparency width, |eps_T|^2 and alpha at one detuning across pump powers.
 
     One steady state per power, one response evaluation per sweep.  Powers
     must be sorted ascending (DriveParams checks each); undefined delays are NaN.
@@ -220,5 +223,5 @@ def power_sweep(
     gamma = params.mirror_damping / 2.0 + alpha / (
         4.0 * params.mirror_mass * params.mirror_freq * params.cavity_decay)
     # abs of each Python complex: np.abs over the array rounds |eps_T|^2 differently
-    return [PowerPoint(p, t, r, g, abs(e) ** 2) for p, t, r, g, e
-            in zip(values, tau_t.tolist(), tau_r.tolist(), gamma.tolist(), eps_t.tolist())]
+    return [PowerPoint(p, t, r, g, abs(e) ** 2, a) for p, t, r, g, e, a in zip(
+        values, tau_t.tolist(), tau_r.tolist(), gamma.tolist(), eps_t.tolist(), alpha.tolist())]

@@ -320,6 +320,29 @@ def test_delay_sweep_undefined_response_exit_2_message(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_delay_sweep_solves_each_pump_once(tmp_path, capsys, monkeypatch):
+    # the gate reads the alpha the sweep solved at its largest pump: N powers,
+    # N steady states, and the refusal past P* = 137.81485 uW names that alpha
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ce.solve_steady(*args)
+
+    for module in ("cavity_eit.cli", "cavity_eit.response"):
+        monkeypatch.setattr(f"{module}.solve_steady", counted)
+    out = tmp_path / "d.csv"
+    assert run("delay-sweep", "--powers-uw", "0,1,2.5,5,137.81", "--out", str(out)) == 0
+    assert len(calls) == 5
+    calls.clear()
+    capsys.readouterr()
+    assert run("delay-sweep", "--powers-uw", "1,137.815", "--out", str(out)) == 2
+    assert len(calls) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: unstable working point: ") and err.count("\n") == 1
+    assert err.endswith("bound fails at alpha = 1.241417e+07)\n")
+
+
 UNSTABLE_RUNS = {
     "steady-state": ["steady-state", "--power-uw", "2000"],
     "spectrum": ["spectrum", "--power-uw", "2000"],

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cavity_eit as ce
@@ -237,21 +237,16 @@ def test_degenerate_point_is_nan_on_every_path(point):
     assert math.isnan(pt.tau_t) and math.isnan(pt.tau_r)
     # den(0) = 0 is a pole on the real axis, at delta = 0: the static bound refuses it
     with pytest.raises(ce.InstabilityError, match="static"):
-        response.stability(params, crafted)
+        response.stability(params, crafted.alpha)
 
 
 # --- stability of the working point -------------------------------------------
 
 
-def with_alpha(alpha):
-    """A steady state that carries only alpha, all response.stability reads."""
-    return ce.SteadyState(cavity_amp=0j, photon_number=0.0, mirror_displacement=0.0, alpha=alpha)
-
-
 def decays(params, alpha):
     """The stability gate's verdict at interaction strength alpha."""
     try:
-        response.stability(params, with_alpha(alpha))
+        response.stability(params, alpha)
     except ce.InstabilityError:
         return False
     return True
@@ -494,7 +489,7 @@ def per_point_sweep(powers, delta, params):
         steady = steady_at(params, p)
         eps_t, tau_t, tau_r = response._response(delta, params, steady.alpha)
         gamma = params.mirror_damping / 2.0 + steady.alpha / divisor
-        out.append((p, float(tau_t), float(tau_r), gamma, abs(complex(eps_t)) ** 2))
+        out.append((p, float(tau_t), float(tau_r), gamma, abs(complex(eps_t)) ** 2, steady.alpha))
     return out
 
 
@@ -513,6 +508,21 @@ def test_power_sweep_matches_scalar_path_over_parameters(point, log_powers, x):
     for delta in (params.mirror_freq, 0.0, x * params.mirror_freq):
         points = ce.power_sweep(powers, delta, params)
         assert float64_bytes(points) == float64_bytes(per_point_sweep(powers, delta, params))
+
+
+@settings(deadline=None, max_examples=5)
+@given(near_reference())
+@example((ce.reference_defaults()[0], 5e-6))
+def test_sweep_point_carries_its_pumps_alpha(point):
+    # the alpha each point carries, which the stability gate reads, is its pump's
+    # steady-state alpha, and gamma_width is formed from it, bit for bit
+    params, _ = point
+    divisor = 4.0 * params.mirror_mass * params.mirror_freq * params.cavity_decay
+    powers = [p * 1e-6 for p in np.linspace(0.1, 5.0, 50).tolist()]  # fig4's sweep
+    for p, pt in zip(powers, ce.power_sweep(powers, params.mirror_freq, params), strict=True):
+        alpha = ce.solve_steady(params, ce.derive(params, ce.DriveParams(p))).alpha
+        assert pt.power == p and pt.alpha.hex() == alpha.hex()
+        assert pt.gamma_width.hex() == (params.mirror_damping / 2.0 + pt.alpha / divisor).hex()
 
 
 @settings(deadline=None)
